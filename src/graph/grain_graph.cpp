@@ -287,6 +287,9 @@ class ShardBuilder {
   std::vector<GraphEdge> edges;
   std::vector<TaskId> unjoined;   ///< in task order within the shard
   std::vector<u32> root_joins;    ///< encoded refs (root lives in one shard)
+  /// The root forked a child after its last join: that join cannot be the
+  /// region's implicit barrier (a trace cut mid-region ends this way).
+  bool root_forks_after_join = false;
 
  private:
   u32 add_local(GraphNode n) {
@@ -342,6 +345,7 @@ class ShardBuilder {
                      EdgeKind::Continuation);
           }
           pending.push_back(child.uid);
+          if (t.uid == kRootTask) root_forks_after_join = true;
           break;
         }
         case FragmentEnd::Join: {
@@ -362,7 +366,10 @@ class ShardBuilder {
             add_edge(last_frag(c), nj, EdgeKind::Join);
           }
           pending.clear();
-          if (t.uid == kRootTask) root_joins.push_back(nj);
+          if (t.uid == kRootTask) {
+            root_joins.push_back(nj);
+            root_forks_after_join = false;
+          }
           if (i + 1 < frags.size()) {
             add_edge(nj, frag_node(t.uid, frags[i + 1].seq),
                      EdgeKind::Continuation);
@@ -509,13 +516,14 @@ GrainGraph GrainGraph::build(const Trace& trace, int threads) {
 
   // Serial epilogue, identical to the original builder: unjoined children
   // synchronize at the region's implicit barrier (the root's last join,
-  // synthesized when absent), then dependence edges.
+  // synthesized at region_end when absent or when the root forked after
+  // it), then dependence edges.
   std::vector<TaskId> unjoined;
   u32 barrier = kNoNode;
   for (size_t s = 0; s < nshards; ++s) {
     ShardBuilder& sb = shards[s];
     unjoined.insert(unjoined.end(), sb.unjoined.begin(), sb.unjoined.end());
-    if (!sb.root_joins.empty()) {
+    if (!sb.root_joins.empty() && !sb.root_forks_after_join) {
       barrier = node_base[s] + (sb.root_joins.back() - F);
     }
   }

@@ -16,6 +16,7 @@
 // (serve.* counters/gauges), so degradation is observable, never silent.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 
 #include "common/types.hpp"
@@ -55,7 +56,10 @@ class AdmissionController {
   /// serve.* gauges. Called once per server tick.
   void update(u64 resident_bytes, size_t sessions);
 
-  DegradeLevel level() const { return level_; }
+  /// Safe from any thread: ingest connections read it to shed OFFERs.
+  DegradeLevel level() const {
+    return level_.load(std::memory_order_relaxed);
+  }
   u64 budget_bytes() const { return opts_.budget_bytes; }
   u64 resident_bytes() const { return resident_bytes_; }
   bool over_budget() const { return resident_bytes_ > opts_.budget_bytes; }
@@ -66,7 +70,7 @@ class AdmissionController {
 
   /// True while tailers should be paused (usage >= pause_fraction).
   bool should_pause_tailers() const {
-    return level_ == DegradeLevel::PausingTailers;
+    return level() == DegradeLevel::PausingTailers;
   }
 
   // Decision bookkeeping, published as serve.* counters.
@@ -80,7 +84,7 @@ class AdmissionController {
 
  private:
   AdmissionOptions opts_;
-  DegradeLevel level_ = DegradeLevel::Normal;
+  std::atomic<DegradeLevel> level_{DegradeLevel::Normal};
   u64 resident_bytes_ = 0;
   u64 queries_shed_ = 0;
   u64 tailers_paused_ = 0;

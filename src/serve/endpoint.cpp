@@ -18,6 +18,13 @@ namespace gg::serve {
 namespace {
 
 constexpr size_t kMaxRequestBytes = 64 * 1024;
+/// Handler threads: concurrent requests answered at once. Cold REPORTs
+/// serialize on the server's analysis gate, so a few threads suffice for
+/// cheap queries never to wait behind them.
+constexpr size_t kHandlerThreads = 8;
+/// Accepted connections waiting for a handler; past this a client gets
+/// "ERR busy" instead of an unbounded queue.
+constexpr size_t kMaxPending = 64;
 
 bool fill_addr(const std::string& path, sockaddr_un* addr,
                std::string* error) {
@@ -116,6 +123,8 @@ bool Endpoint::start(std::string* error) {
     listen_fd_ = -1;
     return false;
   }
+  for (size_t i = 0; i < kHandlerThreads; ++i)
+    handlers_.emplace_back([this] { handler_loop(); });
   thread_ = std::thread([this] { accept_loop(); });
   return true;
 }
@@ -123,6 +132,15 @@ bool Endpoint::start(std::string* error) {
 void Endpoint::stop() {
   if (stop_.exchange(true, std::memory_order_acq_rel)) return;
   if (thread_.joinable()) thread_.join();
+  {
+    // Under mu_, so no handler is between its predicate check and wait.
+    std::lock_guard<std::mutex> lock(mu_);
+  }
+  cv_.notify_all();
+  for (std::thread& t : handlers_) t.join();
+  handlers_.clear();
+  for (int fd : pending_) ::close(fd);
+  pending_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -137,16 +155,45 @@ void Endpoint::accept_loop() {
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    bool timed_out = false;
-    const std::string request =
-        read_request(fd, read_deadline_ns_, &timed_out);
-    const std::string response =
-        timed_out ? "ERR timeout\n"
-                  : (handler_ ? handler_(request) : std::string());
-    write_all_fd(fd, response.data(), response.size());
-    ::shutdown(fd, SHUT_WR);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (pending_.size() < kMaxPending) {
+        pending_.push_back(fd);
+        cv_.notify_one();
+        continue;
+      }
+    }
+    static constexpr char kBusy[] = "ERR busy\n";
+    write_all_fd(fd, kBusy, sizeof kBusy - 1);
     ::close(fd);
   }
+}
+
+void Endpoint::handler_loop() {
+  while (true) {
+    int fd = -1;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] {
+        return !pending_.empty() || stop_.load(std::memory_order_acquire);
+      });
+      if (pending_.empty()) return;  // stopping, nothing left to answer
+      fd = pending_.front();
+      pending_.pop_front();
+    }
+    serve(fd);
+  }
+}
+
+void Endpoint::serve(int fd) {
+  bool timed_out = false;
+  const std::string request = read_request(fd, read_deadline_ns_, &timed_out);
+  const std::string response =
+      timed_out ? "ERR timeout\n"
+                : (handler_ ? handler_(request) : std::string());
+  write_all_fd(fd, response.data(), response.size());
+  ::shutdown(fd, SHUT_WR);
+  ::close(fd);
 }
 
 bool endpoint_request(const std::string& socket_path,

@@ -2,15 +2,19 @@
 //
 // Transport only: one request line per connection, the handler's response
 // bytes written back, connection closed. The protocol lives in
-// Server::query(); ggstat --connect is the matching client. Deliberately
-// minimal — the resilience story of this PR is in the ingestion path, not
-// the wire format.
+// Server::query(); ggstat --connect is the matching client. Connections are
+// answered on a fixed set of handler threads, so a cheap request never
+// queues behind a slow one (a cold REPORT) or a trickling client.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -30,22 +34,29 @@ class Endpoint {
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
-  /// Binds + listens + starts the accept thread. False with *error set on
-  /// failure (stale sockets at the path are unlinked first).
+  /// Binds + listens + starts the accept and handler threads. False with
+  /// *error set on failure (stale sockets at the path are unlinked first).
   bool start(std::string* error);
+  /// Stops accepting, lets in-flight requests finish, closes the rest.
   void stop();
 
   const std::string& path() const { return path_; }
 
  private:
   void accept_loop();
+  void handler_loop();
+  void serve(int fd);
 
   std::string path_;
   Handler handler_;
   u64 read_deadline_ns_;
   int listen_fd_ = -1;
-  std::thread thread_;
+  std::mutex mu_;  // guards pending_
+  std::condition_variable cv_;
+  std::deque<int> pending_;  ///< accepted, not yet picked up
   std::atomic<bool> stop_{false};
+  std::thread thread_;                 ///< accept loop
+  std::vector<std::thread> handlers_;  ///< answer pending_ connections
 };
 
 /// Client half (ggstat --connect): sends one request line, returns the

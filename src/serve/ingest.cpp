@@ -207,16 +207,17 @@ IngestStream::Apply IngestStream::finalize_locked(wire::EndKind end,
     inc_.reset();
     return {wire::Status::SessionErr, acked_seq_, "nothing recoverable"};
   }
-  trace_ = std::move(inc_->trace());
+  auto trace = std::make_shared<Trace>(std::move(inc_->trace()));
   inc_.reset();
   // The batch `gganalyze --recover` hand-off: degraded streams run the
   // salvage pass before analysis, clean ones are used as-is.
-  if (recovery_degraded(report_)) salvage_trace(trace_);
-  if (!validate_trace(trace_).empty()) {
+  if (recovery_degraded(report_)) salvage_trace(*trace);
+  if (!validate_trace(*trace).empty()) {
     usable_ = false;
     state_ = IngestState::Failed;
     return {wire::Status::SessionErr, acked_seq_, "trace failed validation"};
   }
+  trace_ = std::move(trace);
   state_ = report_.crash_reason.empty() ? IngestState::Sealed
                                         : IngestState::Crashed;
   return {wire::Status::Ok, acked_seq_, "sealed"};
@@ -248,16 +249,10 @@ u64 IngestStream::acked_seq() const {
 }
 
 u64 IngestStream::resident_locked() const {
-  if (inc_) return inc_->resident_bytes();
-  if (!usable_) return 0;
-  u64 bytes = 0;
-  auto vec = [](const auto& v) {
-    return static_cast<u64>(v.size() * sizeof(v[0]));
-  };
-  bytes += vec(trace_.tasks) + vec(trace_.fragments) + vec(trace_.joins) +
-           vec(trace_.loops) + vec(trace_.chunks) + vec(trace_.bookkeeps) +
-           vec(trace_.depends) + vec(trace_.worker_stats);
-  return bytes;
+  u64 records = 0;
+  if (inc_) records = inc_->resident_bytes();
+  else if (trace_) records = trace_resident_bytes(*trace_);
+  return records + cache_.bytes();
 }
 
 u64 IngestStream::resident_bytes() const {
@@ -280,16 +275,11 @@ void IngestStream::touch_query(u64 now_ns) {
   last_query_ns_ = now_ns;
 }
 
-const spool::RecoverReport* IngestStream::report() const {
+std::string IngestStream::summary() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (finalized_) return &report_;
-  if (inc_) return &inc_->report();
-  return nullptr;
-}
-
-const Trace* IngestStream::trace() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return finalized_ && usable_ ? &trace_ : nullptr;
+  if (finalized_) return report_.summary();
+  if (inc_) return inc_->report().summary();
+  return {};
 }
 
 std::string IngestStream::status_line() const {
@@ -312,20 +302,21 @@ std::string IngestStream::status_line() const {
   return line;
 }
 
-std::string IngestStream::report_text() const {
+ReportKey IngestStream::report_key() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return {finalized_, acked_seq_};
+}
+
+ReportSnapshot IngestStream::snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  ReportSnapshot snap;
+  snap.key = {finalized_, acked_seq_};
   if (finalized_) {
-    if (!usable_) return {};
-    return analysis_report_text(trace_);
+    snap.finalized = trace_;
+  } else if (inc_) {
+    snap.live = std::make_unique<Trace>(inc_->trace());
   }
-  if (!inc_) return {};
-  // Live snapshot, same convergence contract as Session::report_text.
-  Trace copy = inc_->trace();
-  spool::IncrementalTrace::extend_region_to_records(copy);
-  copy.finalize();
-  salvage_trace(copy);
-  if (!validate_trace(copy).empty()) return {};
-  return analysis_report_text(copy);
+  return snap;
 }
 
 // --- IngestRegistry ---------------------------------------------------------

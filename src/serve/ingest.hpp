@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/session.hpp"
 #include "serve/wire.hpp"
 #include "trace/incremental.hpp"
 
@@ -130,16 +131,16 @@ class IngestStream {
   u64 last_query_ns() const;
   void touch_query(u64 now_ns);
 
-  /// The recovery report: accumulating while open, frozen after finalize.
-  /// Null before OFFER.
-  const spool::RecoverReport* report() const;
-  /// The finalized trace; null until finalize and for Failed streams.
-  const Trace* trace() const;
+  /// The recovery report's summary line, taken under the stream lock;
+  /// empty before OFFER.
+  std::string summary() const;
 
   std::string status_line() const;
-  /// Full analysis report (live snapshot while open — same convergence
-  /// contract as Session::report_text).
-  std::string report_text() const;
+  /// Same contract as the Session methods of the same names; the live
+  /// copy is taken under the stream lock, the analysis runs outside it.
+  ReportKey report_key() const;
+  ReportSnapshot snapshot() const;
+  ReportCache& cache() const { return cache_; }
 
  private:
   Apply finalize_locked(wire::EndKind end, u64 end_offset, u64 end_len,
@@ -159,8 +160,9 @@ class IngestStream {
   IngestState state_ = IngestState::Open;
   bool finalized_ = false;
   bool usable_ = false;
-  Trace trace_;                  ///< valid once finalized_ && usable_
-  spool::RecoverReport report_;  ///< frozen at finalize
+  std::shared_ptr<const Trace> trace_;  ///< set once finalized_ && usable_
+  spool::RecoverReport report_;         ///< frozen at finalize
+  mutable ReportCache cache_;
   u64 last_activity_ns_ = 0;
   u64 last_query_ns_ = 0;
   std::atomic<u64> generation_{0};

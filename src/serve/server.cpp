@@ -3,6 +3,7 @@
 #include <dirent.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -37,7 +38,38 @@ std::string first_word(const std::string& line, std::string* rest) {
   return word;
 }
 
+/// The commands with their own serve.query_ns histogram; anything else is
+/// observed as "other".
+constexpr const char* kCommands[] = {"PING",      "STATUS", "SESSIONS",
+                                     "SUMMARY",   "REPORT", "TELEMETRY",
+                                     "ATTACH",    "EVICT",  "SHUTDOWN",
+                                     "other"};
+
 }  // namespace
+
+/// mu_, tagged with its holder for the stall diagnosis. The tag is set
+/// after the lock is taken and cleared before it is released.
+class Server::Hold {
+ public:
+  Hold(const Server& s, std::string who) : s_(s), lock_(s.mu_) {
+    std::lock_guard<std::mutex> tag(s_.holder_mu_);
+    s_.holder_ = std::move(who);
+    s_.holder_since_ns_ = obs::mono_ns();
+    s_.holder_active_ = true;
+  }
+  ~Hold() {
+    std::lock_guard<std::mutex> tag(s_.holder_mu_);
+    s_.holder_since_ns_ = obs::mono_ns();
+    s_.holder_active_ = false;
+  }
+
+  Hold(const Hold&) = delete;
+  Hold& operator=(const Hold&) = delete;
+
+ private:
+  const Server& s_;
+  std::lock_guard<std::mutex> lock_;
+};
 
 Server::Server(const ServerOptions& opts)
     : opts_(opts),
@@ -48,6 +80,15 @@ Server::Server(const ServerOptions& opts)
     m_frames_ = opts_.telemetry->counter("serve.frames_applied");
     m_attached_ = opts_.telemetry->counter("serve.sessions_attached");
     m_stalls_ = opts_.telemetry->counter("serve.watchdog_stalls");
+    m_cache_hits_ = opts_.telemetry->counter("serve.report_cache.hits");
+    m_cache_misses_ = opts_.telemetry->counter("serve.report_cache.misses");
+    g_cache_bytes_ = opts_.telemetry->gauge("serve.report_cache.bytes");
+    for (const char* cmd : kCommands) {
+      std::string name = std::string("serve.query_ns.") + cmd;
+      std::transform(name.begin(), name.end(), name.begin(),
+                     [](unsigned char c) { return std::tolower(c); });
+      m_query_ns_[cmd] = opts_.telemetry->histogram(name);
+    }
   }
 }
 
@@ -64,9 +105,9 @@ u64 Server::now_ns() const {
 }
 
 bool Server::attach(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
+  Hold hold(*this, "attach");
   if (sessions_.count(path) != 0) return false;
-  sessions_.emplace(path, std::make_unique<Session>(next_id_++, path,
+  sessions_.emplace(path, std::make_shared<Session>(next_id_++, path,
                                                     opts_.session));
   ever_attached_ = true;
   if (m_attached_ != nullptr) m_attached_->add();
@@ -83,7 +124,7 @@ void Server::scan_dir_locked(u64 now) {
     if (!has_spool_suffix(name)) continue;
     const std::string path = opts_.dir + "/" + name;
     if (sessions_.count(path) != 0) continue;
-    sessions_.emplace(path, std::make_unique<Session>(next_id_++, path,
+    sessions_.emplace(path, std::make_shared<Session>(next_id_++, path,
                                                       opts_.session));
     ever_attached_ = true;
     if (m_attached_ != nullptr) m_attached_->add();
@@ -99,7 +140,7 @@ void Server::tick() {
   const u64 ingest_resident = ingest_.resident_bytes();
   const size_t ingest_streams = ingest_.stream_count();
 
-  std::lock_guard<std::mutex> lock(mu_);
+  Hold hold(*this, "tick");
   const u64 now = now_ns();
   scan_dir_locked(now);
 
@@ -108,6 +149,13 @@ void Server::tick() {
   for (auto& [path, session] : sessions_) {
     frames += session->tick(now);
     resident += session->resident_bytes();
+  }
+  if (g_cache_bytes_ != nullptr) {
+    u64 cached = 0;
+    for (auto& [path, session] : sessions_) cached += session->cache().bytes();
+    ingest_.for_each(
+        [&cached](const IngestStream& s) { cached += s.cache().bytes(); });
+    g_cache_bytes_->set(static_cast<double>(cached));
   }
   admission_.update(resident, sessions_.size() + ingest_streams);
   apply_backpressure_locked(now);
@@ -187,22 +235,22 @@ void Server::evict_locked(const std::string& path) {
                     sessions_.size());
 }
 
-Session* Server::find_locked(const std::string& key) {
+std::shared_ptr<Session> Server::find_locked(const std::string& key) {
   auto it = sessions_.find(key);
-  if (it != sessions_.end()) return it->second.get();
+  if (it != sessions_.end()) return it->second;
   // Fall back to the numeric session id, then to a unique basename match —
   // SESSIONS prints absolute paths, but a human queries "w1.ggspool".
   for (auto& [path, session] : sessions_) {
-    if (std::to_string(session->id()) == key) return session.get();
+    if (std::to_string(session->id()) == key) return session;
   }
-  Session* by_name = nullptr;
+  std::shared_ptr<Session> by_name;
   for (auto& [path, session] : sessions_) {
     const size_t slash = path.find_last_of('/');
     const std::string base =
         slash == std::string::npos ? path : path.substr(slash + 1);
     if (base == key) {
-      if (by_name != nullptr) return nullptr;  // ambiguous: require the path
-      by_name = session.get();
+      if (by_name) return nullptr;  // ambiguous: require the path
+      by_name = session;
     }
   }
   return by_name;
@@ -228,63 +276,22 @@ std::string Server::status_locked() const {
 std::string Server::query(const std::string& request) {
   std::string rest;
   const std::string cmd = first_word(request, &rest);
-  const u64 now = now_ns();
+  const u64 start = obs::mono_ns();
+  std::string out = answer(cmd, rest, now_ns());
+  if (!m_query_ns_.empty()) {
+    auto it = m_query_ns_.find(cmd);
+    if (it == m_query_ns_.end()) it = m_query_ns_.find("other");
+    it->second->observe(obs::mono_ns() - start);
+  }
+  return out;
+}
 
+std::string Server::answer(const std::string& cmd, const std::string& rest,
+                           u64 now) {
   if (cmd == "PING") return "PONG\n";
   if (cmd == "SHUTDOWN") {
     stop();
     return "OK shutting down\n";
-  }
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (cmd == "STATUS") return status_locked();
-  if (cmd == "SESSIONS") {
-    std::string out;
-    for (const auto& [path, session] : sessions_)
-      out += session->status_line() + "\n";
-    ingest_.for_each([&out](const IngestStream& s) {
-      out += s.status_line() + "\n";
-    });
-    if (out.empty()) out = "no sessions\n";
-    return out;
-  }
-  if (cmd == "SUMMARY") {
-    Session* s = find_locked(rest);
-    if (s == nullptr) {
-      // Wire-fed streams answer the same query surface as tailed files.
-      if (auto ws = ingest_.find_by_key(rest)) {
-        ws->touch_query(now);
-        const spool::RecoverReport* rep = ws->report();
-        if (rep == nullptr) return "no data yet\n";
-        return rep->summary() + "\n";
-      }
-      return "ERR no such session: " + rest + "\n";
-    }
-    s->touch_query(now);
-    const spool::RecoverReport* rep = s->report();
-    if (rep == nullptr) return "no data yet\n";
-    return rep->summary() + "\n";
-  }
-  if (cmd == "REPORT") {
-    Session* s = find_locked(rest);
-    std::shared_ptr<IngestStream> ws;
-    if (s == nullptr) {
-      ws = ingest_.find_by_key(rest);
-      if (!ws) return "ERR no such session: " + rest + "\n";
-      ws->touch_query(now);
-    } else {
-      s->touch_query(now);
-    }
-    if (!admission_.admit_heavy_query()) {
-      return "SHED report refused under memory pressure (level=" +
-             std::string(degrade_level_name(admission_.level())) +
-             ", resident=" + std::to_string(admission_.resident_bytes()) +
-             "/" + std::to_string(admission_.budget_bytes()) +
-             "); retry later or use SUMMARY\n";
-    }
-    std::string text = s != nullptr ? s->report_text() : ws->report_text();
-    if (text.empty()) return "ERR session not usable\n";
-    return text;
   }
   if (cmd == "TELEMETRY") {
     if (opts_.telemetry == nullptr) return "no telemetry\n";
@@ -295,33 +302,116 @@ std::string Server::query(const std::string& request) {
     obs::render_text(os, snap);
     return os.str();
   }
-  if (cmd == "ATTACH") {
-    if (rest.empty()) return "ERR ATTACH <path>\n";
-    if (sessions_.count(rest) != 0) return "OK already attached\n";
-    sessions_.emplace(rest, std::make_unique<Session>(next_id_++, rest,
-                                                      opts_.session));
-    ever_attached_ = true;
-    if (m_attached_ != nullptr) m_attached_->add();
-    return "OK attached " + rest + "\n";
+
+  // REPORT resolves its session and cache key here, then analyzes with
+  // mu_ released.
+  std::shared_ptr<Session> s;
+  std::shared_ptr<IngestStream> ws;
+  ReportKey key;
+  {
+    Hold hold(*this, "query " + cmd.substr(0, 16));
+    if (cmd == "STATUS") return status_locked();
+    if (cmd == "SESSIONS") {
+      std::string out;
+      for (const auto& [path, session] : sessions_)
+        out += session->status_line() + "\n";
+      ingest_.for_each([&out](const IngestStream& st) {
+        out += st.status_line() + "\n";
+      });
+      if (out.empty()) out = "no sessions\n";
+      return out;
+    }
+    if (cmd == "SUMMARY") {
+      std::string summary;
+      if (auto found = find_locked(rest)) {
+        found->touch_query(now);
+        if (const spool::RecoverReport* rep = found->report())
+          summary = rep->summary();
+      } else if (auto stream = ingest_.find_by_key(rest)) {
+        // Wire-fed streams answer the same query surface as tailed files.
+        stream->touch_query(now);
+        summary = stream->summary();
+      } else {
+        return "ERR no such session: " + rest + "\n";
+      }
+      return summary.empty() ? "no data yet\n" : summary + "\n";
+    }
+    if (cmd == "REPORT") {
+      s = find_locked(rest);
+      if (!s) {
+        ws = ingest_.find_by_key(rest);
+        if (!ws) return "ERR no such session: " + rest + "\n";
+        ws->touch_query(now);
+      } else {
+        s->touch_query(now);
+      }
+      if (!admission_.admit_heavy_query()) {
+        return "SHED report refused under memory pressure (level=" +
+               std::string(degrade_level_name(admission_.level())) +
+               ", resident=" + std::to_string(admission_.resident_bytes()) +
+               "/" + std::to_string(admission_.budget_bytes()) +
+               "); retry later or use SUMMARY\n";
+      }
+      key = s ? s->report_key() : ws->report_key();
+    } else if (cmd == "ATTACH") {
+      if (rest.empty()) return "ERR ATTACH <path>\n";
+      if (sessions_.count(rest) != 0) return "OK already attached\n";
+      sessions_.emplace(rest, std::make_shared<Session>(next_id_++, rest,
+                                                        opts_.session));
+      ever_attached_ = true;
+      if (m_attached_ != nullptr) m_attached_->add();
+      return "OK attached " + rest + "\n";
+    } else if (cmd == "EVICT") {
+      const std::shared_ptr<Session> victim = find_locked(rest);
+      if (!victim) return "ERR no such session: " + rest + "\n";
+      const std::string path = victim->path();
+      victim->finalize(now);
+      evict_locked(path);
+      return "OK evicted " + path + "\n";
+    } else {
+      return "ERR unknown command: " + cmd + "\n";
+    }
   }
-  if (cmd == "EVICT") {
-    Session* s = find_locked(rest);
-    if (s == nullptr) return "ERR no such session: " + rest + "\n";
-    const std::string path = s->path();
-    s->finalize(now);
-    evict_locked(path);
-    return "OK evicted " + path + "\n";
+  return report(s, ws, key);
+}
+
+std::string Server::report(const std::shared_ptr<Session>& s,
+                           const std::shared_ptr<IngestStream>& ws,
+                           const ReportKey& key) {
+  ReportCache& cache = s ? s->cache() : ws->cache();
+  if (auto hit = cache.find(key)) {
+    if (m_cache_hits_ != nullptr) m_cache_hits_->add();
+    return *hit;
   }
-  return "ERR unknown command: " + cmd + "\n";
+  std::lock_guard<std::mutex> gate(analysis_gate_);
+  ReportSnapshot snap;
+  if (s) {
+    Hold hold(*this, "query REPORT snapshot");
+    snap = s->snapshot();
+  } else {
+    snap = ws->snapshot();
+  }
+  // A REPORT of the same key may have rendered it while this one waited.
+  if (auto hit = cache.find(snap.key)) {
+    if (m_cache_hits_ != nullptr) m_cache_hits_->add();
+    return *hit;
+  }
+  if (m_cache_misses_ != nullptr) m_cache_misses_->add();
+  const ReportKey rendered_key = snap.key;
+  auto text = std::make_shared<const std::string>(
+      snapshot_report_text(std::move(snap)));
+  if (text->empty()) return "ERR session not usable\n";
+  cache.store(rendered_key, text);
+  return *text;
 }
 
 size_t Server::session_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  Hold hold(*this, "session_count");
   return sessions_.size();
 }
 
 u64 Server::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  Hold hold(*this, "resident_bytes");
   u64 total = 0;
   for (const auto& [path, session] : sessions_)
     total += session->resident_bytes();
@@ -329,7 +419,7 @@ u64 Server::resident_bytes() const {
 }
 
 bool Server::idle() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  Hold hold(*this, "idle");
   if (!ever_attached_) return false;
   for (const auto& [path, session] : sessions_) {
     if (!session->finalized()) return false;
@@ -339,7 +429,7 @@ bool Server::idle() const {
 
 void Server::for_each_session(
     const std::function<void(const Session&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  Hold hold(*this, "for_each_session");
   for (const auto& [path, session] : sessions_) fn(*session);
 }
 
@@ -347,16 +437,33 @@ std::string Server::diagnosis() const {
   // try_lock: the watchdog calls this precisely when the ingest loop may
   // be wedged holding mu_ — a diagnosis that deadlocks is no diagnosis.
   std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+  std::string who;
+  u64 since_ns = 0;
+  bool active = false;
+  {
+    std::lock_guard<std::mutex> tag(holder_mu_);
+    who = holder_.empty() ? "nobody" : holder_;
+    since_ns = holder_since_ns_;
+    active = holder_active_;
+  }
+  const u64 now = obs::mono_ns();
+  const u64 ms = now > since_ns ? (now - since_ns) / 1'000'000 : 0;
   std::ostringstream os;
   os << "=== ggserved stall diagnosis ===\n";
   os << "heartbeat=" << heartbeat_.load(std::memory_order_relaxed)
      << " stalls=" << watchdog_stalls_.load(std::memory_order_relaxed)
      << " stopping=" << (stopping() ? 1 : 0) << "\n";
   if (!lock.owns_lock()) {
-    os << "session table locked (ingest loop holds the mutex); "
-          "per-session state unavailable\n";
+    // A holder between taking mu_ and tagging it is not named yet.
+    if (active)
+      os << "session table locked by " << who << " for " << ms << " ms";
+    else
+      os << "session table locked (holder not yet tagged)";
+    os << "; per-session state unavailable\n";
     return os.str();
   }
+  os << "session table free; last held by " << who << ", released " << ms
+     << " ms ago\n";
   os << "sessions=" << sessions_.size()
      << " resident=" << admission_.resident_bytes() << "/"
      << admission_.budget_bytes()
@@ -402,7 +509,7 @@ void Server::watchdog_main() {
 
 void Server::finalize_all() {
   ingest_.finalize_all(now_ns());
-  std::lock_guard<std::mutex> lock(mu_);
+  Hold hold(*this, "finalize_all");
   const u64 now = now_ns();
   u64 resident = ingest_.resident_bytes();
   for (auto& [path, session] : sessions_) {

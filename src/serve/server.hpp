@@ -13,7 +13,15 @@
 // once per tick; if the heartbeat freezes past the stall deadline the
 // watchdog dumps a structured diagnosis to stderr and publishes
 // serve.watchdog_stalls — it never aborts (a serving daemon degrades, it
-// does not die).
+// does not die). Every holder of the session-table lock is tagged (tick,
+// query <CMD>, ...) so the diagnosis names who holds it and for how long.
+//
+// REPORT never analyzes under that lock: the lock covers the lookup, the
+// admission check and the snapshot (a shared finalized trace, or a copy of
+// a live session's records); the analysis runs under a separate server-
+// wide gate, so at most one is in memory at a time, and its rendered bytes
+// are cached on the session. A repeat REPORT with nothing new is a copy of
+// the cached bytes.
 #pragma once
 
 #include <atomic>
@@ -32,6 +40,8 @@
 namespace gg::obs {
 class Registry;
 class Counter;
+class Gauge;
+class Histogram;
 }  // namespace gg::obs
 
 namespace gg::serve {
@@ -114,12 +124,21 @@ class Server {
   std::string diagnosis() const;
 
  private:
+  class Hold;  // mu_ plus the holder tag the diagnosis prints
+
   u64 now_ns() const;
+  /// REPORT after the lookup: cache hit, or snapshot + analysis under the
+  /// gate with mu_ released.
+  std::string report(const std::shared_ptr<Session>& s,
+                     const std::shared_ptr<IngestStream>& ws,
+                     const ReportKey& key);
+  std::string answer(const std::string& cmd, const std::string& rest,
+                     u64 now);
   void scan_dir_locked(u64 now);
   void apply_backpressure_locked(u64 now);
   void evict_sweep_locked(u64 now);
   void evict_locked(const std::string& path);
-  Session* find_locked(const std::string& key);
+  std::shared_ptr<Session> find_locked(const std::string& key);
   std::string status_locked() const;
   void finalize_all();
   void watchdog_main();
@@ -128,7 +147,15 @@ class Server {
   AdmissionController admission_;
   IngestRegistry ingest_;
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Session>> sessions_;  // by path
+  // Who holds mu_ (or held it last) and since when; guarded by holder_mu_.
+  mutable std::mutex holder_mu_;
+  mutable std::string holder_;
+  mutable u64 holder_since_ns_ = 0;
+  mutable bool holder_active_ = false;
+  // Serializes cold REPORT analyses: at most one Analysis in memory.
+  std::mutex analysis_gate_;
+  // Shared so a REPORT in flight keeps its session alive across EVICT.
+  std::map<std::string, std::shared_ptr<Session>> sessions_;  // by path
   u64 next_id_ = 1;
   u64 next_scan_ns_ = 0;
   bool ever_attached_ = false;
@@ -137,6 +164,10 @@ class Server {
   obs::Counter* m_frames_ = nullptr;
   obs::Counter* m_attached_ = nullptr;
   obs::Counter* m_stalls_ = nullptr;
+  obs::Counter* m_cache_hits_ = nullptr;
+  obs::Counter* m_cache_misses_ = nullptr;
+  obs::Gauge* g_cache_bytes_ = nullptr;
+  std::map<std::string, obs::Histogram*> m_query_ns_;  // by command
 
   std::atomic<u64> heartbeat_{0};
   std::atomic<u64> watchdog_stalls_{0};

@@ -43,6 +43,44 @@ std::string analysis_report_text(const Trace& trace) {
   return render_report(trace, a);
 }
 
+std::string snapshot_report_text(ReportSnapshot snap) {
+  if (snap.finalized) return analysis_report_text(*snap.finalized);
+  if (!snap.live) return {};
+  Trace& copy = *snap.live;
+  spool::IncrementalTrace::extend_region_to_records(copy);
+  copy.finalize();
+  salvage_trace(copy);
+  if (!validate_trace(copy).empty()) return {};
+  return analysis_report_text(copy);
+}
+
+std::shared_ptr<const std::string> ReportCache::find(
+    const ReportKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return text_ && key_ == key ? text_ : nullptr;
+}
+
+void ReportCache::store(const ReportKey& key,
+                        std::shared_ptr<const std::string> text) {
+  std::lock_guard<std::mutex> lock(mu_);
+  key_ = key;
+  text_ = std::move(text);
+}
+
+u64 ReportCache::bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return text_ ? text_->size() : 0;
+}
+
+u64 trace_resident_bytes(const Trace& t) {
+  auto vec = [](const auto& v) {
+    return static_cast<u64>(v.size() * sizeof(v[0]));
+  };
+  return vec(t.tasks) + vec(t.fragments) + vec(t.joins) + vec(t.loops) +
+         vec(t.chunks) + vec(t.bookkeeps) + vec(t.depends) +
+         vec(t.worker_stats);
+}
+
 Session::Session(u64 id, std::string path, const SessionOptions& opts)
     : id_(id),
       path_(path),
@@ -50,17 +88,9 @@ Session::Session(u64 id, std::string path, const SessionOptions& opts)
       tailer_(std::move(path), opts.tailer) {}
 
 u64 Session::resident_bytes() const {
-  if (finalized_) {
-    u64 bytes = 0;
-    auto vec = [](const auto& v) {
-      return static_cast<u64>(v.size() * sizeof(v[0]));
-    };
-    bytes += vec(trace_.tasks) + vec(trace_.fragments) + vec(trace_.joins) +
-             vec(trace_.loops) + vec(trace_.chunks) + vec(trace_.bookkeeps) +
-             vec(trace_.depends) + vec(trace_.worker_stats);
-    return bytes;
-  }
-  return tailer_.resident_bytes();
+  u64 records = tailer_.resident_bytes();
+  if (finalized_) records = trace_ ? trace_resident_bytes(*trace_) : 0;
+  return records + cache_.bytes();
 }
 
 const spool::RecoverReport* Session::report() const {
@@ -141,15 +171,16 @@ void Session::run_finalize(u64 now_ns, SessionState end_state) {
   // deadline triggered the finalize; the footer is the better diagnosis.
   if (!report_.crash_reason.empty() && end_state == SessionState::Stale)
     end_state = SessionState::Crashed;
-  trace_ = std::move(tailer_.trace()->trace());
+  auto trace = std::make_shared<Trace>(std::move(tailer_.trace()->trace()));
   // The batch `gganalyze --recover` hand-off: degraded streams run the
   // salvage pass before analysis, clean ones are used as-is.
-  if (recovery_degraded(report_)) salvage_trace(trace_);
-  if (!validate_trace(trace_).empty()) {
+  if (recovery_degraded(report_)) salvage_trace(*trace);
+  if (!validate_trace(*trace).empty()) {
     usable_ = false;
     state_ = SessionState::Failed;
     return;
   }
+  trace_ = std::move(trace);
   state_ = end_state;
 }
 
@@ -169,23 +200,19 @@ std::string Session::status_line() const {
   return line;
 }
 
-std::string Session::report_text() const {
+ReportKey Session::report_key() const {
+  return {finalized_, tailer_.stats().frames_applied};
+}
+
+ReportSnapshot Session::snapshot() const {
+  ReportSnapshot snap;
+  snap.key = report_key();
   if (finalized_) {
-    if (!usable_) return {};
-    return analysis_report_text(trace_);
+    snap.finalized = trace_;
+  } else if (const spool::IncrementalTrace* inc = tailer_.trace()) {
+    snap.live = std::make_unique<Trace>(inc->trace());
   }
-  const spool::IncrementalTrace* inc = tailer_.trace();
-  if (inc == nullptr) return {};
-  // Live snapshot: copy the accumulating records, apply the same repairs
-  // finalize would (region bounds, provenance-free finalize, salvage), and
-  // analyze the copy. The live answer converges on the finalized one as
-  // the tail catches up.
-  Trace copy = inc->trace();
-  spool::IncrementalTrace::extend_region_to_records(copy);
-  copy.finalize();
-  salvage_trace(copy);
-  if (!validate_trace(copy).empty()) return {};
-  return analysis_report_text(copy);
+  return snap;
 }
 
 }  // namespace gg::serve

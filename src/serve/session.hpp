@@ -17,8 +17,15 @@
 // a session's post-recovery metrics are byte-identical to a batch run over
 // the same spool. Idle finalized sessions are evicted by the server after
 // evict_after_ns to bound resident memory.
+//
+// REPORT answers are snapshots: the session hands out its finalized trace
+// (shared, so a query keeps it alive across eviction) or a copy of its live
+// records, and the analysis runs on that with no lock held. Each session
+// caches the rendered answer for its current ReportKey.
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "serve/tailer.hpp"
@@ -47,6 +54,49 @@ struct SessionOptions {
   /// Lower priority is paused first under admission pressure.
   int priority = 0;
 };
+
+/// What a session's REPORT answer depends on: the frames applied so far,
+/// and whether the session is finalized (a live snapshot and the finalized
+/// report of the same frames are different bytes).
+struct ReportKey {
+  bool finalized = false;
+  u64 applied = 0;
+  bool operator==(const ReportKey&) const = default;
+};
+
+/// What a REPORT analyzes, captured under the owning session's lock. At
+/// most one of the traces is set; neither means nothing is analyzable.
+struct ReportSnapshot {
+  ReportKey key;
+  std::shared_ptr<const Trace> finalized;  ///< the finalized trace, shared
+  std::unique_ptr<Trace> live;             ///< a copy of the live records
+};
+
+/// The one REPORT path for both session types, run with no lock held. A
+/// live copy first gets the repairs finalize would apply (region bounds,
+/// finalize, salvage), so the live answer converges on the finalized one.
+/// Empty when nothing is analyzable.
+std::string snapshot_report_text(ReportSnapshot snap);
+
+/// One session's REPORT cache: a single slot holding the rendered answer
+/// for one key. The bytes, not the Analysis: a 300k-grain report is about
+/// 240 KB, its graph and tables hundreds of MB. Thread-safe.
+class ReportCache {
+ public:
+  /// The cached answer when it was rendered for `key`, else null.
+  std::shared_ptr<const std::string> find(const ReportKey& key) const;
+  void store(const ReportKey& key, std::shared_ptr<const std::string> text);
+  u64 bytes() const;
+
+ private:
+  mutable std::mutex mu_;
+  ReportKey key_;
+  std::shared_ptr<const std::string> text_;
+};
+
+/// Heap bytes of a trace's record vectors: what a finalized session keeps
+/// resident.
+u64 trace_resident_bytes(const Trace& t);
 
 class Session {
  public:
@@ -80,6 +130,7 @@ class Session {
   u64 last_query_ns() const { return last_query_ns_; }
   void touch_query(u64 now_ns) { last_query_ns_ = now_ns; }
 
+  /// Records, buffered bytes and the cached REPORT answer.
   u64 resident_bytes() const;
   const SpoolTailer& tailer() const { return tailer_; }
 
@@ -89,16 +140,17 @@ class Session {
 
   /// The finalized (salvaged, validated) trace; null until finalize and
   /// for Failed sessions.
-  const Trace* trace() const { return usable_ ? &trace_ : nullptr; }
+  const Trace* trace() const { return usable_ ? trace_.get() : nullptr; }
 
   /// Cheap query: one status line (id, state, frames, epochs, resident).
   std::string status_line() const;
 
-  /// Heavy query: the full analysis report over the session's trace. While
-  /// still tailing this snapshots (copies) the accumulating trace, repairs
-  /// region bounds and salvages the copy — the live view converges on the
-  /// finalized one. Empty on Failed sessions.
-  std::string report_text() const;
+  /// The key the current REPORT answer is cached under.
+  ReportKey report_key() const;
+  /// The REPORT input: the shared finalized trace, or a copy of the live
+  /// records (the only heavy step the caller's lock covers).
+  ReportSnapshot snapshot() const;
+  ReportCache& cache() const { return cache_; }
 
  private:
   void run_finalize(u64 now_ns, SessionState end_state);
@@ -108,8 +160,9 @@ class Session {
   SessionOptions opts_;
   SpoolTailer tailer_;
   SessionState state_ = SessionState::Tailing;
-  Trace trace_;                 ///< valid once finalized_ && usable_
-  spool::RecoverReport report_; ///< frozen at finalize
+  std::shared_ptr<const Trace> trace_;  ///< set once finalized_ && usable_
+  spool::RecoverReport report_;         ///< frozen at finalize
+  mutable ReportCache cache_;
   u64 last_activity_ns_ = 0;
   u64 last_query_ns_ = 0;
   bool paused_ = false;

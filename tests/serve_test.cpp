@@ -15,6 +15,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -22,6 +25,7 @@
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "serve/admission.hpp"
 #include "serve/endpoint.hpp"
 #include "serve/server.hpp"
@@ -92,6 +96,12 @@ BatchReplica batch_recover(const std::string& path) {
   if (!validate_trace(b.rr.trace).empty()) return b;
   b.report_text = serve::analysis_report_text(b.rr.trace);
   return b;
+}
+
+/// A session's or stream's REPORT answer, computed uncached.
+template <class S>
+std::string report_of(const S& s) {
+  return serve::snapshot_report_text(s.snapshot());
 }
 
 /// Drives `tailer` and `writer` in lockstep: every iteration lets the
@@ -335,7 +345,7 @@ TEST(ServeSessionTest, StaleFooterlessWriterHandsOffToRecovery) {
   ASSERT_NE(session.trace(), nullptr);
   EXPECT_TRUE(session.report()->partial());
   // The finalized report text is exactly the batch pipeline's.
-  EXPECT_EQ(session.report_text(), batch_recover(path).report_text);
+  EXPECT_EQ(report_of(session), batch_recover(path).report_text);
   fs::remove(path);
 }
 
@@ -402,6 +412,55 @@ TEST(ServeSessionTest, PausedSessionNeverGoesStale) {
     now += 20 * kMs;
   }
   EXPECT_EQ(session.state(), serve::SessionState::Sealed);
+  fs::remove(path);
+}
+
+// --- snapshots of truncated and live traces --------------------------------
+
+/// The spool the truncation cases cut: 3,000 grains in 512-byte epochs.
+std::string truncation_spool() {
+  return spool::spool_trace_bytes(make_trace(7, 4, 3000), 512);
+}
+
+TEST(ServeSnapshotTest, TruncatedPrefixesThatValidateAlsoAnalyze) {
+  // A trace cut mid-region ends the root with a synthesized TaskEnd; the
+  // children it forked after its last join must synchronize at a barrier
+  // synthesized at region_end, not at that join (which closed a cycle).
+  const std::string bytes = truncation_spool();
+  size_t analyzable = 0;
+  for (size_t cut = 4999; cut < bytes.size(); cut += 4999) {
+    spool::RecoverResult rr =
+        spool::recover_spool_bytes(std::string_view(bytes).substr(0, cut));
+    if (!rr.usable) continue;
+    if (serve::recovery_degraded(rr.report)) salvage_trace(rr.trace);
+    if (!validate_trace(rr.trace).empty()) continue;
+    ++analyzable;
+    EXPECT_EQ(serve::analysis_report_text(rr.trace).rfind("===", 0), 0u)
+        << "prefix " << cut;
+  }
+  EXPECT_GE(analyzable, 100u);
+}
+
+TEST(ServeSnapshotTest, LiveSessionSnapshotsAnalyzeAtEveryStep) {
+  const std::string path = temp_path("live-snap") + ".ggspool";
+  const std::string bytes = truncation_spool();
+  serve::Session session(1, path, serve::SessionOptions{});
+  u64 now = kT0;
+  size_t reports = 0;
+  int step = 0;
+  for (size_t cut = 997; cut < bytes.size(); cut += 997) {
+    write_file(path, std::string_view(bytes).substr(0, cut));
+    session.tick(now);
+    now += 100 * kMs;  // past every retry backoff: each tick reads
+    ASSERT_FALSE(session.finalized());
+    if (++step % 3 != 0) continue;  // every third step keeps this quick
+    const std::string text = report_of(session);
+    if (!text.empty()) {
+      ++reports;
+      EXPECT_EQ(text.rfind("===", 0), 0u) << "prefix " << cut;
+    }
+  }
+  EXPECT_GE(reports, 150u);
   fs::remove(path);
 }
 
@@ -611,6 +670,28 @@ TEST(ServeServerTest, DiagnosisDumpsSessionTable) {
   EXPECT_NE(diag.find("d.ggspool"), std::string::npos);
 }
 
+TEST(ServeServerTest, DiagnosisNamesTheLockHolder) {
+  ServerFixture fx;
+  write_file(fx.dir + "/h.ggspool", make_spool_bytes(37));
+  serve::Server server(fx.opts);
+  fx.ticks(server, 10);
+  EXPECT_NE(server.diagnosis().find("free; last held by tick"),
+            std::string::npos);
+  std::atomic<bool> holding{false};
+  std::thread holder([&] {
+    server.for_each_session([&](const serve::Session&) {
+      holding.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+  const std::string diag = server.diagnosis();
+  holder.join();
+  EXPECT_NE(diag.find("session table locked by for_each_session for"),
+            std::string::npos)
+      << diag;
+}
+
 TEST(ServeServerTest, RunExitsWhenIdleAndWatchdogSurvivesStalls) {
   ServerFixture fx;
   {
@@ -636,10 +717,210 @@ TEST(ServeServerTest, RunExitsWhenIdleAndWatchdogSurvivesStalls) {
   EXPECT_EQ(server.run(), 0);
   EXPECT_GE(server.watchdog_stalls(), 1u);
   EXPECT_NE(stall_report.find("stall diagnosis"), std::string::npos);
+  // The stalls fall in the loop's sleep: the lock is free, and the dump
+  // names its last holder (the loop's idle check after its tick) rather
+  // than blaming the ingest loop.
+  EXPECT_TRUE(stall_report.find("free; last held by idle") !=
+                  std::string::npos ||
+              stall_report.find("locked by tick") != std::string::npos)
+      << stall_report;
   server.for_each_session([](const serve::Session& s) {
     EXPECT_TRUE(s.finalized());
     EXPECT_EQ(s.state(), serve::SessionState::Stale);
   });
+}
+
+// --- REPORT cache -----------------------------------------------------------
+
+u64 counter_value(const obs::Registry& reg, const std::string& name) {
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(ServeReportCacheTest, CachedReportIsByteIdenticalToBatchRecover) {
+  obs::Registry reg;
+  ServerFixture fx;
+  fx.opts.telemetry = &reg;
+  const std::string path = fx.dir + "/c.ggspool";
+  write_file(path, make_spool_bytes(51));
+  serve::Server server(fx.opts);
+  fx.ticks(server, 10);
+  const u64 resident_before = server.resident_bytes();
+  const std::string batch = batch_recover(path).report_text;
+  ASSERT_FALSE(batch.empty());
+  EXPECT_EQ(server.query("REPORT " + path), batch);  // cold: rendered
+  EXPECT_EQ(server.query("REPORT " + path), batch);  // warm: cached
+  EXPECT_EQ(server.query("REPORT c.ggspool"), batch);
+  EXPECT_EQ(counter_value(reg, "serve.report_cache.misses"), 1u);
+  EXPECT_EQ(counter_value(reg, "serve.report_cache.hits"), 2u);
+  // The cached bytes are charged to the session and published.
+  EXPECT_EQ(server.resident_bytes(), resident_before + batch.size());
+  fx.ticks(server, 1);
+  EXPECT_EQ(reg.snapshot().gauges.at("serve.report_cache.bytes"),
+            static_cast<double>(batch.size()));
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.histograms.at("serve.query_ns.report").count, 3u);
+  EXPECT_EQ(snap.histograms.count("serve.query_ns.status"), 1u);
+}
+
+TEST(ServeReportCacheTest, LiveAnswerInvalidatedByNewFramesAndFinalize) {
+  obs::Registry reg;
+  ServerFixture fx;
+  fx.opts.telemetry = &reg;
+  fx.opts.session.stale_after_ns = 2000 * kMs;
+  const std::string path = fx.dir + "/live.ggspool";
+  const std::string bytes = strip_footer(make_spool_bytes(52));
+  const std::vector<spool::FrameSpan> frames = spool::scan_frames(bytes);
+  ASSERT_GT(frames.size(), 8u);
+  serve::Server server(fx.opts);
+  auto misses = [&] { return counter_value(reg, "serve.report_cache.misses"); };
+  auto hits = [&] { return counter_value(reg, "serve.report_cache.hits"); };
+
+  // Half the frames: a live answer, then the same answer from the cache.
+  const size_t half = frames[frames.size() / 2].offset;
+  write_file(path, std::string_view(bytes).substr(0, half));
+  fx.ticks(server, 5);
+  const std::string first = server.query("REPORT live.ggspool");
+  ASSERT_EQ(first.rfind("===", 0), 0u) << first;
+  EXPECT_EQ(server.query("REPORT live.ggspool"), first);
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 1u);
+
+  // New frames: the cached answer is stale and rendered again.
+  write_file(path, bytes);
+  fx.ticks(server, 5);
+  std::string live;
+  server.for_each_session([&](const serve::Session& s) {
+    EXPECT_FALSE(s.finalized());
+    live = report_of(s);
+  });
+  EXPECT_EQ(server.query("REPORT live.ggspool"), live);
+  EXPECT_EQ(misses(), 2u);
+
+  // Finalize with no new frame (the writer went stale): the key differs
+  // by the finalized flag alone, and the answer is batch recovery's.
+  fx.ticks(server, 150);
+  server.for_each_session([](const serve::Session& s) {
+    EXPECT_EQ(s.state(), serve::SessionState::Stale);
+  });
+  EXPECT_EQ(server.query("REPORT live.ggspool"),
+            batch_recover(path).report_text);
+  EXPECT_EQ(misses(), 3u);
+  EXPECT_EQ(hits(), 1u);
+}
+
+TEST(ServeReportCacheTest, ConcurrentIdenticalReportsComputeOnce) {
+  obs::Registry reg;
+  ServerFixture fx;
+  fx.opts.telemetry = &reg;
+  const std::string path = fx.dir + "/n.ggspool";
+  write_file(path, spool::spool_trace_bytes(make_trace(53, 4, 5000), 4096));
+  serve::Server server(fx.opts);
+  fx.ticks(server, 10);
+  constexpr int kClients = 8;
+  std::vector<std::string> answers(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i)
+    clients.emplace_back([&server, &answers, &path, i] {
+      answers[static_cast<size_t>(i)] = server.query("REPORT " + path);
+    });
+  for (std::thread& t : clients) t.join();
+  const std::string batch = batch_recover(path).report_text;
+  for (const std::string& a : answers) EXPECT_EQ(a, batch);
+  EXPECT_EQ(counter_value(reg, "serve.report_cache.misses"), 1u);
+  EXPECT_EQ(counter_value(reg, "serve.report_cache.hits"),
+            static_cast<u64>(kClients - 1));
+}
+
+TEST(ServeReportCacheTest, EvictWhileReportInFlightIsMemorySafe) {
+  ServerFixture fx;
+  const std::string path = fx.dir + "/e.ggspool";
+  write_file(path, spool::spool_trace_bytes(make_trace(54, 4, 20000), 4096));
+  const std::string batch = batch_recover(path).report_text;
+  ASSERT_FALSE(batch.empty());
+  serve::Server server(fx.opts);
+  // The EVICT lands at a different point of the REPORT each round: before
+  // the lookup, during the analysis, or after it.
+  for (int delay_ms : {0, 1, 5, 20, 60}) {
+    if (server.session_count() == 0) server.attach(path);
+    fx.ticks(server, 10);
+    std::string answer;
+    std::thread reporter(
+        [&] { answer = server.query("REPORT e.ggspool"); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+    const std::string evicted = server.query("EVICT " + path);
+    EXPECT_EQ(evicted.rfind("OK evicted", 0), 0u) << evicted;
+    reporter.join();
+    // Either the REPORT found the session first and answers in full from
+    // its own reference to the trace, or the session was already gone.
+    if (answer.rfind("ERR no such session", 0) != 0) {
+      EXPECT_EQ(answer, batch) << "delay " << delay_ms;
+    }
+    EXPECT_EQ(server.session_count(), 0u);
+  }
+}
+
+TEST(ServeServerTest, LongReportFiresNoStallAndStatusCompletesFirst) {
+  ServerFixture fx;
+  const std::string path = fx.dir + "/big.ggspool";
+  const std::string bytes =
+      spool::spool_trace_bytes(make_trace(55, 4, 60000), 64 * 1024);
+  write_file(path, bytes);
+  const u64 t0 = obs::mono_ns();
+  const std::string batch = batch_recover(path).report_text;
+  const u64 report_cost_ns = obs::mono_ns() - t0;
+  ASSERT_FALSE(batch.empty());
+
+  fx.opts.clock = nullptr;  // real clock: run() owns the loop
+  fx.opts.socket_path = temp_path("long-q");
+  // A stall deadline far below one REPORT's cost: with the analysis under
+  // the session lock, the tick loop would freeze for the whole REPORT.
+  fx.opts.watchdog_stall_ns = std::max<u64>(report_cost_ns / 4, 50 * kMs);
+  fx.opts.watchdog_poll_ns = 2 * kMs;
+  std::string stall_report;
+  fx.opts.on_stall = [&](const std::string& r) { stall_report = r; };
+  serve::Server server(fx.opts);
+  std::thread runner([&server] { server.run(); });
+
+  std::string resp, err;
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(serve::endpoint_request_retry(fx.opts.socket_path,
+                                              "SESSIONS", 50, kMs, 20 * kMs,
+                                              &resp, &err))
+        << err;
+    if (resp.find(" sealed ") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_NE(resp.find(" sealed "), std::string::npos) << resp;
+  // Sealing itself (finalize + validate in the tick) may outlast the short
+  // deadline; only stalls during the REPORT count.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const u64 stalls_before = server.watchdog_stalls();
+
+  std::string report;
+  std::atomic<u64> report_done{0};
+  std::thread reporter([&] {
+    std::string e;
+    serve::endpoint_request(fx.opts.socket_path, "REPORT big.ggspool",
+                            &report, &e);
+    report_done.store(obs::mono_ns());
+  });
+  std::this_thread::sleep_for(std::chrono::nanoseconds(report_cost_ns / 10));
+  std::string status;
+  ASSERT_TRUE(
+      serve::endpoint_request(fx.opts.socket_path, "STATUS", &status, &err))
+      << err;
+  const u64 status_done = obs::mono_ns();
+  reporter.join();
+  const u64 stalls_after = server.watchdog_stalls();
+  server.stop();
+  runner.join();
+
+  EXPECT_EQ(status.rfind("ggserved ", 0), 0u) << status;
+  EXPECT_LT(status_done, report_done.load());
+  EXPECT_EQ(report, batch);
+  EXPECT_EQ(stalls_after, stalls_before) << stall_report;
 }
 
 // --- endpoint ---------------------------------------------------------------
@@ -744,7 +1025,7 @@ TEST(ServeChaosTest, ForkKillWritersRecoverWithBatchParityAndLossBound) {
       ASSERT_NE(s.report(), nullptr);
       // Live/batch parity: same recovery report, same analysis text.
       EXPECT_EQ(s.report()->summary(), batch.rr.report.summary());
-      EXPECT_EQ(s.report_text(), batch.report_text);
+      EXPECT_EQ(report_of(s), batch.report_text);
       // Loss bound: a SIGKILLed writer loses at most the one torn frame
       // at its tail — every complete frame before it is kept.
       EXPECT_LE(s.report()->frames_total - s.report()->frames_kept, 1u);

@@ -75,6 +75,12 @@ std::string batch_report(const std::string& bytes) {
   return serve::analysis_report_text(rr.trace);
 }
 
+/// A session's or stream's REPORT answer, computed uncached.
+template <class S>
+std::string report_of(const S& s) {
+  return serve::snapshot_report_text(s.snapshot());
+}
+
 u32 spool_num_workers(const std::string& bytes) {
   u32 v = 0;
   for (int i = 0; i < 4; ++i)
@@ -309,7 +315,7 @@ TEST(IngestConnectionTest, CleanPushMatchesBatchRecovery) {
   EXPECT_TRUE(stream->usable());
   const std::string batch = batch_report(bytes);
   ASSERT_FALSE(batch.empty());
-  EXPECT_EQ(stream->report_text(), batch);
+  EXPECT_EQ(report_of(*stream), batch);
 }
 
 TEST(IngestConnectionTest, DuplicateEpochsDedupedOnSeq) {
@@ -426,7 +432,7 @@ TEST(IngestConnectionTest, PoisonedWireKillsConnectionNotSession) {
                                bytes.size(), 0),
       &out2, kT0));
   EXPECT_EQ(stream->state(), serve::IngestState::Sealed);
-  EXPECT_EQ(stream->report_text(), batch_report(bytes));
+  EXPECT_EQ(report_of(*stream), batch_report(bytes));
 }
 
 TEST(IngestConnectionTest, NewerConnectionSupersedesZombie) {
@@ -676,7 +682,7 @@ TEST(WireClientTest, CleanPushOverSocketMatchesBatch) {
   auto stream = srv.registry->find(client.token());
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->state(), serve::IngestState::Sealed);
-  EXPECT_EQ(stream->report_text(), batch_report(bytes));
+  EXPECT_EQ(report_of(*stream), batch_report(bytes));
   EXPECT_EQ(stream->acked_seq(), client.acked_seq());
 }
 
@@ -696,7 +702,7 @@ TEST(WireClientTest, DamagedSourceSpoolSealsWithBatchIdenticalTail) {
   ASSERT_NE(stream, nullptr);
   const std::string batch = batch_report(bytes);
   ASSERT_FALSE(batch.empty());
-  EXPECT_EQ(stream->report_text(), batch);
+  EXPECT_EQ(report_of(*stream), batch);
 }
 
 struct FaultCase {
@@ -747,7 +753,7 @@ TEST(WireClientTest, ClientSideFaultMatrixRecoversWithParity) {
     auto stream = srv.registry->find(client.token());
     ASSERT_NE(stream, nullptr) << fc.name;
     EXPECT_EQ(stream->state(), serve::IngestState::Sealed) << fc.name;
-    EXPECT_EQ(stream->report_text(), batch) << fc.name;
+    EXPECT_EQ(report_of(*stream), batch) << fc.name;
   }
 }
 
@@ -771,7 +777,7 @@ TEST(WireClientTest, ProxyInjectedFaultMatrixRecoversWithParity) {
     auto stream = srv.registry->find(client.token());
     ASSERT_NE(stream, nullptr) << fc.name;
     EXPECT_EQ(stream->state(), serve::IngestState::Sealed) << fc.name;
-    EXPECT_EQ(stream->report_text(), batch) << fc.name;
+    EXPECT_EQ(report_of(*stream), batch) << fc.name;
     proxy.stop();
   }
 }
@@ -813,7 +819,7 @@ TEST(WireChaosTest, KilledClientResumesFromAnotherProcess) {
   auto stream = srv.registry->find(resumed.token());
   ASSERT_NE(stream, nullptr);
   EXPECT_EQ(stream->state(), serve::IngestState::Sealed);
-  EXPECT_EQ(stream->report_text(), batch_report(bytes));
+  EXPECT_EQ(report_of(*stream), batch_report(bytes));
 }
 
 TEST(WireChaosTest, DaemonKillAndRestartMidIngest) {
@@ -887,7 +893,7 @@ TEST(WireChaosTest, DaemonKillAndRestartMidIngest) {
   EXPECT_EQ(stream->state(), serve::IngestState::Sealed);
   const std::string batch = batch_report(bytes);
   ASSERT_FALSE(batch.empty());
-  EXPECT_EQ(stream->report_text(), batch);
+  EXPECT_EQ(report_of(*stream), batch);
   listener2.stop();
   ::unlink(socket_path.c_str());
 }
@@ -931,6 +937,69 @@ TEST(ServerWireTest, IngestStreamsAnswerTheQuerySurface) {
 
   server.stop();
   runner.join();
+}
+
+TEST(ServerWireTest, ReportMidPushAnswersLiveSnapshotsThenCachesFinal) {
+  // REPORTs of a stream still being pushed analyze a live snapshot; on a
+  // trace cut mid-region that used to abort in GrainGraph::build.
+  obs::Registry reg;
+  serve::ServerOptions opts;
+  opts.telemetry = &reg;
+  serve::Server server(opts);
+  SynthOptions synth;
+  synth.seed = 7;
+  synth.workers = 4;
+  synth.grains = 3000;
+  const std::string bytes =
+      spool::spool_trace_bytes(synth_trace(synth), 512);
+  auto counter = [&reg](const char* name) {
+    return reg.snapshot().counters[name];
+  };
+
+  serve::IngestConnection conn(&server.ingest(), nullptr);
+  std::string out;
+  u64 now = kT0;
+  ASSERT_TRUE(conn.on_bytes(
+      serve::wire::encode_hello(test_token(61), 0, "mid"), &out, now));
+  ASSERT_TRUE(conn.on_bytes(
+      serve::wire::encode_offer(spool_num_workers(bytes), 0), &out, now));
+  u32 seq = 1;
+  size_t reports = 0;
+  for (const spool::FrameSpan& span : spool::scan_frames(bytes)) {
+    ASSERT_TRUE(conn.on_bytes(
+        serve::wire::encode_epoch(
+            seq, span.offset,
+            std::string_view(bytes.data() + span.offset, span.size)),
+        &out, now));
+    if (seq++ % 7 != 0) continue;
+    const std::string live = server.query("REPORT mid");
+    if (live.rfind("===", 0) == 0) {
+      ++reports;
+    } else {
+      EXPECT_EQ(live, "ERR session not usable\n") << "epoch " << seq;
+    }
+  }
+  EXPECT_GE(reports, 100u);
+  // Every live answer had a new key: each was rendered, none reused.
+  EXPECT_EQ(counter("serve.report_cache.hits"), 0u);
+  const u64 live_misses = counter("serve.report_cache.misses");
+
+  ASSERT_TRUE(conn.on_bytes(
+      serve::wire::encode_seal(seq, serve::wire::EndKind::Clean,
+                               bytes.size(), 0),
+      &out, now));
+  // The sealed stream: concurrent identical REPORTs render once, and every
+  // answer is batch recovery's.
+  const std::string batch = batch_report(bytes);
+  std::vector<std::string> answers(4);
+  std::vector<std::thread> clients;
+  for (std::string& a : answers)
+    clients.emplace_back([&server, &a] { a = server.query("REPORT mid"); });
+  for (std::thread& t : clients) t.join();
+  for (const std::string& a : answers) EXPECT_EQ(a, batch);
+  EXPECT_EQ(server.query("REPORT mid"), batch);
+  EXPECT_EQ(counter("serve.report_cache.misses"), live_misses + 1);
+  EXPECT_EQ(counter("serve.report_cache.hits"), 4u);
 }
 
 // --- endpoint satellites ----------------------------------------------------
