@@ -20,9 +20,12 @@
 namespace gg {
 
 /// Stable-sorts [first, last) with `cmp` using up to `threads` workers.
-/// Output is the stable sort of the range regardless of `threads`.
+/// Output is the stable sort of the range regardless of `threads`. Input
+/// that is already sorted (a GGTB3 file stores canonical order) returns
+/// after one comparison pass: a stable sort of sorted input is the identity.
 template <class It, class Cmp>
 void par_stable_sort(It first, It last, int threads, Cmp cmp) {
+  if (std::is_sorted(first, last, cmp)) return;
   const size_t n = static_cast<size_t>(last - first);
   size_t t = static_cast<size_t>(std::max(threads, 1));
   if (t > n) t = n;

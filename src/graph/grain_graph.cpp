@@ -162,9 +162,10 @@ namespace {
 // signature and topo result is pinned to — so the sharded build reproduces
 // it exactly:
 //
-//   phase A  fragment nodes, parallel over task-run-aligned blocks of the
-//            (task, seq)-sorted fragment vector (count, prefix-sum, fill —
-//            each fragment node lands at the id the serial walk gave it);
+//   phase A  fragment nodes, parallel over contiguous task blocks, each
+//            task contributing its (seq-sorted) fragment range (count,
+//            prefix-sum, fill — each fragment node lands at the id the
+//            serial walk gave it);
 //   phase B  each shard wires a contiguous block of tasks into *local* node
 //            and edge vectors, encoding references to its own new nodes as
 //            F + local_id (F = fragment node count) while fragment
@@ -182,53 +183,60 @@ constexpr u32 kNoNode = 0xFFFFFFFFu;
 
 /// Fragment-node index from phase A, indexed by task position in
 /// trace.tasks: first node id and node count per task (kNoNode/0 for tasks
-/// without fragment nodes).
+/// without fragment nodes). Duplicate task records (damaged traces) share
+/// their uid's entry.
 struct FragIndex {
   std::vector<u32> first;
   std::vector<u32> count;
   u32 total = 0;  ///< F: number of fragment nodes
 
   bool has(size_t task_idx) const { return first[task_idx] != kNoNode; }
+
+  u32 first_of(size_t task_idx) const {
+    GG_CHECK(has(task_idx));
+    return first[task_idx];
+  }
+
+  u32 last_of(size_t task_idx) const {
+    GG_CHECK(has(task_idx));
+    return first[task_idx] + count[task_idx] - 1;
+  }
 };
 
+/// True when tasks[i] repeats the previous task's uid (damaged traces): its
+/// records are the first occurrence's, so it adds no fragment nodes.
+bool repeats_previous(const Trace& trace, size_t i) {
+  return i > 0 && trace.tasks[i - 1].uid == trace.tasks[i].uid;
+}
+
 /// Phase A: appends one node per non-orphan fragment to `nodes` (which must
-/// be empty) in flat fragment order, skipping fragments whose task record is
-/// missing (damaged traces), exactly like the serial task-by-task walk.
+/// be empty) in flat fragment order. Tasks are uid-sorted and fragments
+/// (task, seq)-sorted, so walking tasks in order and emitting each task's
+/// fragment range visits exactly the fragments that have a task record, in
+/// flat order; orphan fragments (damaged traces) get no nodes.
 FragIndex add_fragment_nodes(const Trace& trace, int threads,
                              std::vector<GraphNode>& nodes) {
-  const auto& frags = trace.fragments;
+  const size_t ntasks = trace.tasks.size();
   FragIndex fi;
-  fi.first.assign(trace.tasks.size(), kNoNode);
-  fi.count.assign(trace.tasks.size(), 0);
+  fi.first.assign(ntasks, kNoNode);
+  fi.count.assign(ntasks, 0);
 
-  // Task-run-aligned block bounds: start from the even partition and advance
-  // each boundary to the next task change, so every task's fragment run is
-  // owned by exactly one block (no write races on fi.first/fi.count, one
-  // task_index lookup per run). Alignment depends only on (n, threads) and
-  // the sorted fragment keys — never on timing.
-  const size_t n = frags.size();
+  // Contiguous task blocks, one per shard; a pure function of
+  // (ntasks, threads), so node ids never depend on timing.
   size_t t = static_cast<size_t>(std::max(threads, 1));
-  if (t > n) t = n == 0 ? 1 : n;
-  std::vector<size_t> bounds(t + 1);
-  for (size_t b = 0; b <= t; ++b) bounds[b] = n * b / t;
-  for (size_t b = 1; b < t; ++b) {
-    size_t x = std::max(bounds[b], bounds[b - 1]);
-    while (x < n && x > 0 && frags[x].task == frags[x - 1].task) ++x;
-    bounds[b] = x;
-  }
-  bounds[t] = n;
+  if (t > ntasks) t = ntasks == 0 ? 1 : ntasks;
+  const auto block = [&](size_t b) { return ntasks * b / t; };
+  const auto fragments_with_nodes = [&](size_t i) {
+    return repeats_previous(trace, i) ? std::span<const FragmentRec>{}
+                                      : trace.fragments_at(i);
+  };
 
-  // Pass 1: per-block counts of fragments that get nodes.
+  // Pass 1: per-block node counts.
   std::vector<size_t> kept(t, 0);
   par_for_shard(t, [&](size_t b) {
     size_t cnt = 0;
-    for (size_t i = bounds[b]; i < bounds[b + 1];) {
-      const TaskId uid = frags[i].task;
-      size_t run = i;
-      while (run < bounds[b + 1] && frags[run].task == uid) ++run;
-      if (trace.task_index(uid).has_value()) cnt += run - i;
-      i = run;
-    }
+    for (size_t i = block(b); i < block(b + 1); ++i)
+      cnt += fragments_with_nodes(i).size();
     kept[b] = cnt;
   });
   std::vector<size_t> base(t + 1, 0);
@@ -239,35 +247,35 @@ FragIndex add_fragment_nodes(const Trace& trace, int threads,
   // Pass 2: fill node slots and the per-task index.
   par_for_shard(t, [&](size_t b) {
     u32 id = static_cast<u32>(base[b]);
-    for (size_t i = bounds[b]; i < bounds[b + 1];) {
-      const TaskId uid = frags[i].task;
-      size_t run = i;
-      while (run < bounds[b + 1] && frags[run].task == uid) ++run;
-      const auto idx = trace.task_index(uid);
-      if (!idx.has_value()) {
-        i = run;  // orphan fragments get no nodes
-        continue;
-      }
-      const StrId src = trace.tasks[*idx].src;
-      fi.first[*idx] = id;
-      fi.count[*idx] = static_cast<u32>(run - i);
-      for (; i < run; ++i) {
-        const FragmentRec& f = frags[i];
+    for (size_t i = block(b); i < block(b + 1); ++i) {
+      const auto frags = fragments_with_nodes(i);
+      if (frags.empty()) continue;
+      const TaskRec& task = trace.tasks[i];
+      fi.first[i] = id;
+      fi.count[i] = static_cast<u32>(frags.size());
+      for (const FragmentRec& f : frags) {
         GraphNode& gn = nodes[id];
         gn.kind = NodeKind::Fragment;
-        gn.task = uid;
+        gn.task = task.uid;
         gn.seq = f.seq;
         gn.core = f.core;
         gn.thread = f.core;
         gn.start = f.start;
         gn.end = f.end;
         gn.counters = f.counters;
-        gn.src = src;
+        gn.src = task.src;
         gn.busy = gn.duration();
         ++id;
       }
     }
   });
+  // Duplicate task records share the first occurrence's nodes.
+  for (size_t i = 1; i < ntasks; ++i) {
+    if (repeats_previous(trace, i)) {
+      fi.first[i] = fi.first[i - 1];
+      fi.count[i] = fi.count[i - 1];
+    }
+  }
   return fi;
 }
 
@@ -280,12 +288,12 @@ class ShardBuilder {
       : trace_(trace), fi_(fi) {}
 
   void wire_range(size_t task_lo, size_t task_hi) {
-    for (size_t i = task_lo; i < task_hi; ++i) wire_task(trace_.tasks[i]);
+    for (size_t i = task_lo; i < task_hi; ++i) wire_task(i);
   }
 
   std::vector<GraphNode> nodes;
   std::vector<GraphEdge> edges;
-  std::vector<TaskId> unjoined;   ///< in task order within the shard
+  std::vector<size_t> unjoined;   ///< task indexes, in task order
   std::vector<u32> root_joins;    ///< encoded refs (root lives in one shard)
   /// The root forked a child after its last join: that join cannot be the
   /// region's implicit barrier (a trace cut mid-region ends this way).
@@ -302,27 +310,17 @@ class ShardBuilder {
     edges.push_back(GraphEdge{from, to, kind});
   }
 
-  u32 first_frag(TaskId task) const {
-    const auto idx = trace_.task_index(task);
-    GG_CHECK(idx.has_value() && fi_.has(*idx));
-    return fi_.first[*idx];
-  }
-
-  u32 last_frag(TaskId task) const {
-    const auto idx = trace_.task_index(task);
-    GG_CHECK(idx.has_value() && fi_.has(*idx));
-    return fi_.first[*idx] + fi_.count[*idx] - 1;
-  }
-
-  u32 frag_node(TaskId task, u32 seq) const { return first_frag(task) + seq; }
-
-  void wire_task(const TaskRec& t) {
-    const auto frags = trace_.fragments_span(t.uid);
-    const auto joins = trace_.joins_span(t.uid);
-    std::vector<TaskId> pending;  // children forked since the last join
+  void wire_task(size_t ti) {
+    const TaskRec& t = trace_.tasks[ti];
+    const auto frags = trace_.fragments_at(ti);
+    if (frags.empty()) return;
+    const auto joins = trace_.joins_at(ti);
+    // Fragment node of seq s is base + s (phase A laid them out in order).
+    const u32 base = fi_.first_of(ti);
+    std::vector<size_t> pending;  // children forked since the last join
     for (size_t i = 0; i < frags.size(); ++i) {
       const FragmentRec& f = frags[i];
-      const u32 fi = frag_node(t.uid, f.seq);
+      const u32 fi = base + f.seq;
       switch (f.end_reason) {
         case FragmentEnd::Fork: {
           const auto child_idx = trace_.task_index(f.end_ref);
@@ -339,12 +337,11 @@ class ShardBuilder {
           fork.src = child.src;
           const u32 nf = add_local(fork);
           add_edge(fi, nf, EdgeKind::Continuation);
-          add_edge(nf, first_frag(child.uid), EdgeKind::Creation);
+          add_edge(nf, fi_.first_of(*child_idx), EdgeKind::Creation);
           if (i + 1 < frags.size()) {
-            add_edge(nf, frag_node(t.uid, frags[i + 1].seq),
-                     EdgeKind::Continuation);
+            add_edge(nf, base + frags[i + 1].seq, EdgeKind::Continuation);
           }
-          pending.push_back(child.uid);
+          pending.push_back(*child_idx);
           if (t.uid == kRootTask) root_forks_after_join = true;
           break;
         }
@@ -362,8 +359,8 @@ class ShardBuilder {
           join.src = t.src;
           const u32 nj = add_local(join);
           add_edge(fi, nj, EdgeKind::Continuation);
-          for (TaskId c : pending) {
-            add_edge(last_frag(c), nj, EdgeKind::Join);
+          for (size_t c : pending) {
+            add_edge(fi_.last_of(c), nj, EdgeKind::Join);
           }
           pending.clear();
           if (t.uid == kRootTask) {
@@ -371,21 +368,19 @@ class ShardBuilder {
             root_forks_after_join = false;
           }
           if (i + 1 < frags.size()) {
-            add_edge(nj, frag_node(t.uid, frags[i + 1].seq),
-                     EdgeKind::Continuation);
+            add_edge(nj, base + frags[i + 1].seq, EdgeKind::Continuation);
           }
           break;
         }
         case FragmentEnd::Loop: {
           const u32 nlj = wire_loop(f.end_ref, fi);
           if (i + 1 < frags.size()) {
-            add_edge(nlj, frag_node(t.uid, frags[i + 1].seq),
-                     EdgeKind::Continuation);
+            add_edge(nlj, base + frags[i + 1].seq, EdgeKind::Continuation);
           }
           break;
         }
         case FragmentEnd::TaskEnd: {
-          for (TaskId c : pending) unjoined.push_back(c);
+          for (size_t c : pending) unjoined.push_back(c);
           pending.clear();
           break;
         }
@@ -415,7 +410,7 @@ class ShardBuilder {
     // finalize(), so the per-thread groups are contiguous runs.
     bool any_thread = false;
     for_each_thread_pair(
-        trace_.bookkeeps_span(uid), trace_.chunks_span(uid),
+        trace_.bookkeeps_at(*loop_idx), trace_.chunks_at(*loop_idx),
         [&](u16, std::span<const BookkeepRec> bs,
             std::span<const ChunkRec> cs) {
           any_thread = true;
@@ -518,7 +513,7 @@ GrainGraph GrainGraph::build(const Trace& trace, int threads) {
   // synchronize at the region's implicit barrier (the root's last join,
   // synthesized at region_end when absent or when the root forked after
   // it), then dependence edges.
-  std::vector<TaskId> unjoined;
+  std::vector<size_t> unjoined;
   u32 barrier = kNoNode;
   for (size_t s = 0; s < nshards; ++s) {
     ShardBuilder& sb = shards[s];
@@ -527,19 +522,11 @@ GrainGraph GrainGraph::build(const Trace& trace, int threads) {
       barrier = node_base[s] + (sb.root_joins.back() - F);
     }
   }
-  const auto first_frag_of = [&](TaskId uid) -> u32 {
+  // Task index of a uid with fragment nodes, or nullopt.
+  const auto with_frags = [&](TaskId uid) -> std::optional<size_t> {
     const auto idx = trace.task_index(uid);
-    GG_CHECK(idx.has_value() && fi.has(*idx));
-    return fi.first[*idx];
-  };
-  const auto last_frag_of = [&](TaskId uid) -> u32 {
-    const auto idx = trace.task_index(uid);
-    GG_CHECK(idx.has_value() && fi.has(*idx));
-    return fi.first[*idx] + fi.count[*idx] - 1;
-  };
-  const auto has_frags = [&](TaskId uid) {
-    const auto idx = trace.task_index(uid);
-    return idx.has_value() && fi.has(*idx);
+    if (!idx.has_value() || !fi.has(*idx)) return std::nullopt;
+    return idx;
   };
   if (!unjoined.empty()) {
     if (barrier == kNoNode) {
@@ -550,20 +537,21 @@ GrainGraph GrainGraph::build(const Trace& trace, int threads) {
       join.start = trace.meta.region_end;
       join.end = trace.meta.region_end;
       barrier = g.add_node(join);
-      if (has_frags(kRootTask)) {
-        g.add_edge(last_frag_of(kRootTask), barrier, EdgeKind::Continuation);
+      if (const auto root = with_frags(kRootTask)) {
+        g.add_edge(fi.last_of(*root), barrier, EdgeKind::Continuation);
       }
     }
-    for (TaskId c : unjoined) {
-      g.add_edge(last_frag_of(c), barrier, EdgeKind::Join);
+    for (size_t c : unjoined) {
+      g.add_edge(fi.last_of(c), barrier, EdgeKind::Join);
     }
   }
   // OpenMP 4.0 task dependences (§6 future work, implemented): the
   // predecessor's last fragment happens-before the successor's first.
   for (const DependRec& d : trace.depends) {
-    if (!has_frags(d.pred) || !has_frags(d.succ)) continue;
-    g.add_edge(last_frag_of(d.pred), first_frag_of(d.succ),
-               EdgeKind::Dependence);
+    const auto pred = with_frags(d.pred);
+    const auto succ = with_frags(d.succ);
+    if (!pred || !succ) continue;
+    g.add_edge(fi.last_of(*pred), fi.first_of(*succ), EdgeKind::Dependence);
   }
   g.finalize();
   return g;

@@ -44,7 +44,7 @@ std::string task_path(const Trace& trace, const TaskRec& t0) {
 /// even on damaged traces where two parents claim the same child).
 struct SyncShard {
   std::vector<std::pair<size_t, TimeNs>> assigns;  // (row, share)
-  std::vector<TaskId> unjoined;
+  std::vector<std::optional<size_t>> unjoined;      // rows, as pending
   size_t root_barrier_extra = 0;
   bool root_barrier_seen = false;
 };
@@ -93,8 +93,7 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
   const size_t nloops = trace.loops.size();
   std::vector<size_t> chunk_base(nloops + 1, ntask_grains);
   for (size_t l = 0; l < nloops; ++l) {
-    chunk_base[l + 1] =
-        chunk_base[l] + trace.chunks_span(trace.loops[l].uid).size();
+    chunk_base[l + 1] = chunk_base[l] + trace.chunks_at(l).size();
   }
   table.grains_.resize(chunk_base[nloops]);
 
@@ -114,7 +113,7 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
       g.path = task_path(trace, tr);
       g.creation_cost = tr.creation_cost;
       g.inlined = tr.inlined;
-      const auto frags = trace.fragments_span(tr.uid);
+      const auto frags = trace.fragments_at(i);
       GG_CHECK(!frags.empty());
       g.first_start = frags.front().start;
       g.last_end = frags.back().end;
@@ -130,11 +129,15 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
   });
 
   // Row of a task grain by uid; duplicate uids (damaged traces) resolve to
-  // the last occurrence, matching the serial builder's insert order.
-  FlatMap<TaskId, size_t> index_of;
-  index_of.reserve(ntask_grains);
-  for (size_t i = nroots; i < ntasks; ++i)
-    index_of[trace.tasks[i].uid] = i - nroots;
+  // the last occurrence, matching the serial builder's insert order. Root
+  // records are not grains.
+  const auto row_of = [&](TaskId uid) -> std::optional<size_t> {
+    const auto idx = trace.task_index(uid);
+    if (!idx.has_value() || uid == kRootTask) return std::nullopt;
+    size_t i = *idx;
+    while (i + 1 < ntasks && trace.tasks[i + 1].uid == uid) ++i;
+    return i - nroots;
+  };
 
   // Second pass: synchronization-cost shares. Walk every task's fragment
   // stream matching forked children to the join they synchronize at (the
@@ -151,15 +154,15 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
     SyncShard& sh = sync[s];
     const size_t lo = ntasks * s / sync_shards;
     const size_t hi = ntasks * (s + 1) / sync_shards;
-    std::vector<TaskId> pending;
+    std::vector<std::optional<size_t>> pending;  // rows of forked children
     for (size_t i = lo; i < hi; ++i) {
       const TaskRec& tr = trace.tasks[i];
-      const auto frags = trace.fragments_span(tr.uid);
-      const auto joins = trace.joins_span(tr.uid);
+      const auto frags = trace.fragments_at(i);
+      const auto joins = trace.joins_at(i);
       pending.clear();
       for (const FragmentRec& f : frags) {
         if (f.end_reason == FragmentEnd::Fork) {
-          pending.push_back(f.end_ref);
+          pending.push_back(row_of(f.end_ref));
         } else if (f.end_reason == FragmentEnd::Join) {
           const JoinRec* jr = find_join(joins, f.end_ref);
           GG_CHECK(jr != nullptr);
@@ -168,8 +171,8 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
           // child's execution. Time the parent spends merely *waiting* for
           // (or helping while) children run is not a parallelization cost.
           TimeNs last_child_end = jr->start;
-          for (TaskId c : pending) {
-            if (const size_t* row = index_of.find(c)) {
+          for (const auto& row : pending) {
+            if (row) {
               last_child_end =
                   std::max(last_child_end, table.grains_[*row].last_end);
             }
@@ -177,9 +180,8 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
           const TimeNs overhead =
               jr->end > last_child_end ? jr->end - last_child_end : 0;
           const TimeNs share = pending.empty() ? 0 : overhead / pending.size();
-          for (TaskId c : pending) {
-            if (const size_t* row = index_of.find(c))
-              sh.assigns.emplace_back(*row, share);
+          for (const auto& row : pending) {
+            if (row) sh.assigns.emplace_back(*row, share);
           }
           if (tr.uid == kRootTask && jr == root_last_join) {
             sh.root_barrier_extra = pending.size();
@@ -188,10 +190,10 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
           pending.clear();
         }
       }
-      for (TaskId c : pending) sh.unjoined.push_back(c);
+      sh.unjoined.insert(sh.unjoined.end(), pending.begin(), pending.end());
     }
   });
-  std::vector<TaskId> unjoined;
+  std::vector<std::optional<size_t>> unjoined;
   size_t root_barrier_extra = 0;  // children of root pending at its last join
   for (const SyncShard& sh : sync) {
     for (const auto& [row, share] : sh.assigns)
@@ -202,8 +204,8 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
   if (!unjoined.empty() && root_last_join != nullptr) {
     const size_t total = unjoined.size() + root_barrier_extra;
     TimeNs last_child_end = root_last_join->start;
-    for (TaskId c : unjoined) {
-      if (const size_t* row = index_of.find(c)) {
+    for (const auto& row : unjoined) {
+      if (row) {
         last_child_end =
             std::max(last_child_end, table.grains_[*row].last_end);
       }
@@ -212,9 +214,8 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
                                 ? root_last_join->end - last_child_end
                                 : 0;
     const TimeNs share = overhead / total;
-    for (TaskId c : unjoined) {
-      if (const size_t* row = index_of.find(c))
-        table.grains_[*row].sync_cost = share;
+    for (const auto& row : unjoined) {
+      if (row) table.grains_[*row].sync_cost = share;
     }
   }
 
@@ -235,7 +236,7 @@ GrainTable GrainTable::build(const Trace& trace, int threads) {
       loop_prefix += std::to_string(loop.seq);
       loop_prefix += ':';
       for_each_thread_pair(
-          trace.chunks_span(loop.uid), trace.bookkeeps_span(loop.uid),
+          trace.chunks_at(l), trace.bookkeeps_at(l),
           [&](u16, std::span<const ChunkRec> cs,
               std::span<const BookkeepRec> bs) {
             size_t bi = 0;  // next got_chunk book-keeping record

@@ -21,13 +21,25 @@ i64 pass_now_ns() {
       .count();
 }
 
-/// Visits the execution intervals of one grain: fragment intervals for
-/// tasks (a zero-copy span lookup), the chunk interval for chunks.
+/// Number of root task records: they lead trace.tasks (the root uid is 0)
+/// and are not grains, so task grain row r is trace.tasks[r + roots].
+size_t root_records(const Trace& trace) {
+  size_t n = 0;
+  while (n < trace.tasks.size() && trace.tasks[n].uid == kRootTask) ++n;
+  return n;
+}
+
+/// Visits the execution intervals of grain row `row` of the trace's
+/// GrainTable: fragment intervals for tasks (the task's record range), the
+/// chunk interval for chunks.
 template <class Fn>
-void for_each_grain_interval(const Trace& trace, const Grain& g, Fn&& fn) {
+void for_each_grain_interval(const Trace& trace, size_t roots,
+                             const Grain& g, size_t row, Fn&& fn) {
   if (g.kind == GrainKind::Task) {
-    for (const FragmentRec& f : trace.fragments_span(g.task))
-      fn(f.start, f.end);
+    const size_t ti = row + roots;
+    GG_CHECK_MSG(ti < trace.tasks.size() && trace.tasks[ti].uid == g.task,
+                 "grain table was not built from this trace");
+    for (const FragmentRec& f : trace.fragments_at(ti)) fn(f.start, f.end);
   } else {
     fn(g.first_start, g.last_end);
   }
@@ -177,6 +189,7 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
   res.interval_used = interval;
   const TimeNs makespan = std::max<TimeNs>(1, trace.makespan());
   const size_t slots = static_cast<size_t>((makespan + interval - 1) / interval);
+  const size_t roots = root_records(trace);
   // Each grain contributes its execution intervals to +1/-1 histogram
   // deltas. Blocks accumulate into private diff arrays which are then summed
   // in block order; integer addition is associative and commutative, so the
@@ -189,7 +202,8 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
     opt_diff.assign(slots + 1, 0);
     con_diff.assign(slots + 1, 0);
     for (size_t i = lo; i < hi; ++i) {
-      for_each_grain_interval(trace, table[i], [&](TimeNs s, TimeNs e) {
+      for_each_grain_interval(trace, roots, table[i], i, [&](TimeNs s,
+                                                             TimeNs e) {
         if (e <= s) return;
         // Optimistic: any overlap.
         const size_t o_lo = static_cast<size_t>(s / interval);
@@ -222,7 +236,7 @@ MetricsResult compute_metrics(const Trace& trace, const GrainGraph& graph,
   par_for_each_index(table.size(), threads, [&](size_t i) {
     u32 min_o = std::numeric_limits<u32>::max();
     u32 min_c = std::numeric_limits<u32>::max();
-    for_each_grain_interval(trace, table[i], [&](TimeNs s, TimeNs e) {
+    for_each_grain_interval(trace, roots, table[i], i, [&](TimeNs s, TimeNs e) {
       if (e <= s) return;
       const size_t lo = static_cast<size_t>(s / interval);
       const size_t hi = std::min(static_cast<size_t>((e - 1) / interval),

@@ -1,10 +1,103 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/par_sort.hpp"
 
 namespace gg {
+
+namespace {
+
+/// Position of the first owner whose key is >= uid — std::lower_bound's
+/// answer, so duplicates resolve to their first occurrence — or nullopt
+/// when that owner's key is not uid. The search probes position `uid`
+/// first and gallops outward, so dense uids (uid == position) cost one or
+/// two probes and any other uid set costs O(log distance).
+template <class Owner>
+std::optional<size_t> find_owner(const std::vector<Owner>& owners,
+                                 u64 Owner::*key, u64 uid) {
+  const size_t n = owners.size();
+  const size_t guess = static_cast<size_t>(std::min<u64>(uid, n));
+  // Invariant: owners before `lo` have key < uid; `hi` is n or has
+  // key >= uid. The answer is in [lo, hi].
+  size_t lo = 0, hi = n;
+  if (guess < n && owners[guess].*key < uid) {
+    lo = guess + 1;
+    for (size_t step = 1;; step *= 2) {
+      const size_t probe = guess + step;
+      if (probe >= n) break;
+      if (owners[probe].*key >= uid) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+    }
+  } else {
+    hi = guess;
+    for (size_t step = 1; step <= guess; step *= 2) {
+      const size_t probe = guess - step;
+      if (owners[probe].*key < uid) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+    }
+  }
+  const auto it = std::partition_point(
+      owners.begin() + static_cast<ptrdiff_t>(lo),
+      owners.begin() + static_cast<ptrdiff_t>(hi),
+      [&](const Owner& o) { return o.*key < uid; });
+  const size_t pos = static_cast<size_t>(it - owners.begin());
+  if (pos == n || owners[pos].*key != uid) return std::nullopt;
+  return pos;
+}
+
+/// [lo, hi) run of each owner's records, by one linear merge of the two
+/// key-sorted vectors. Duplicate owners share their uid's run.
+template <class Owner, class Rec, class Range>
+void build_owner_ranges(const std::vector<Owner>& owners, u64 Owner::*key,
+                        const std::vector<Rec>& recs, u64 Rec::*owner,
+                        std::vector<Range>& out) {
+  GG_CHECK_MSG(recs.size() <= std::numeric_limits<u32>::max(),
+               "too many records for 32-bit owner ranges");
+  out.assign(owners.size(), Range{});
+  size_t lo = 0;
+  for (size_t i = 0; i < owners.size(); ++i) {
+    const u64 uid = owners[i].*key;
+    if (i > 0 && owners[i - 1].*key == uid) {
+      out[i] = out[i - 1];
+      continue;
+    }
+    while (lo < recs.size() && recs[lo].*owner < uid) ++lo;
+    size_t hi = lo;
+    while (hi < recs.size() && recs[hi].*owner == uid) ++hi;
+    out[i] = Range{static_cast<u32>(lo), static_cast<u32>(hi)};
+    lo = hi;
+  }
+}
+
+/// Records owned by `uid`, by binary search over the owner-sorted vector —
+/// the lookup for records whose owner has no record of its own.
+template <class Rec>
+std::span<const Rec> owned_by(const std::vector<Rec>& recs, u64 Rec::*owner,
+                              u64 uid) {
+  const auto lo = std::partition_point(
+      recs.begin(), recs.end(), [&](const Rec& r) { return r.*owner < uid; });
+  const auto hi = std::partition_point(
+      lo, recs.end(), [&](const Rec& r) { return r.*owner == uid; });
+  return {recs.data() + (lo - recs.begin()), static_cast<size_t>(hi - lo)};
+}
+
+template <class Rec>
+std::vector<const Rec*> pointers_to(std::span<const Rec> recs) {
+  std::vector<const Rec*> out;
+  out.reserve(recs.size());
+  for (const Rec& r : recs) out.push_back(&r);
+  return out;
+}
+
+}  // namespace
 
 const char* to_string(ScheduleKind k) {
   switch (k) {
@@ -54,14 +147,14 @@ void Trace::finalize(int threads) {
                     return a.worker < b.worker;
                   });
 
-  task_index_.clear();
-  task_index_.reserve(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i)
-    task_index_.emplace_back(tasks[i].uid, i);
-  loop_index_.clear();
-  loop_index_.reserve(loops.size());
-  for (size_t i = 0; i < loops.size(); ++i)
-    loop_index_.emplace_back(loops[i].uid, i);
+  build_owner_ranges(tasks, &TaskRec::uid, fragments, &FragmentRec::task,
+                     frag_ranges_);
+  build_owner_ranges(tasks, &TaskRec::uid, joins, &JoinRec::task,
+                     join_ranges_);
+  build_owner_ranges(loops, &LoopRec::uid, chunks, &ChunkRec::loop,
+                     chunk_ranges_);
+  build_owner_ranges(loops, &LoopRec::uid, bookkeeps, &BookkeepRec::loop,
+                     bookkeep_ranges_);
   children_index_.clear();
   children_index_.reserve(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) children_index_.push_back(i);
@@ -74,49 +167,40 @@ void Trace::finalize(int threads) {
   finalized_ = true;
 }
 
+std::optional<size_t> Trace::task_index(TaskId uid) const {
+  if (!finalized_) return std::nullopt;
+  return find_owner(tasks, &TaskRec::uid, uid);
+}
+
+std::optional<size_t> Trace::loop_index(LoopId uid) const {
+  if (!finalized_) return std::nullopt;
+  return find_owner(loops, &LoopRec::uid, uid);
+}
+
 std::span<const FragmentRec> Trace::fragments_span(TaskId uid) const {
   if (!finalized_) return {};
-  auto lo = std::lower_bound(
-      fragments.begin(), fragments.end(), uid,
-      [](const FragmentRec& f, TaskId v) { return f.task < v; });
-  auto hi = std::upper_bound(
-      lo, fragments.end(), uid,
-      [](TaskId v, const FragmentRec& f) { return v < f.task; });
-  return {fragments.data() + (lo - fragments.begin()),
-          static_cast<size_t>(hi - lo)};
+  if (const auto i = find_owner(tasks, &TaskRec::uid, uid))
+    return fragments_at(*i);
+  return owned_by(fragments, &FragmentRec::task, uid);
 }
 
 std::span<const JoinRec> Trace::joins_span(TaskId uid) const {
   if (!finalized_) return {};
-  auto lo = std::lower_bound(
-      joins.begin(), joins.end(), uid,
-      [](const JoinRec& j, TaskId v) { return j.task < v; });
-  auto hi = std::upper_bound(lo, joins.end(), uid,
-                             [](TaskId v, const JoinRec& j) { return v < j.task; });
-  return {joins.data() + (lo - joins.begin()), static_cast<size_t>(hi - lo)};
+  if (const auto i = find_owner(tasks, &TaskRec::uid, uid)) return joins_at(*i);
+  return owned_by(joins, &JoinRec::task, uid);
 }
 
 std::span<const ChunkRec> Trace::chunks_span(LoopId uid) const {
   if (!finalized_) return {};
-  auto lo = std::lower_bound(
-      chunks.begin(), chunks.end(), uid,
-      [](const ChunkRec& c, LoopId v) { return c.loop < v; });
-  auto hi = std::upper_bound(
-      lo, chunks.end(), uid,
-      [](LoopId v, const ChunkRec& c) { return v < c.loop; });
-  return {chunks.data() + (lo - chunks.begin()), static_cast<size_t>(hi - lo)};
+  if (const auto l = find_owner(loops, &LoopRec::uid, uid)) return chunks_at(*l);
+  return owned_by(chunks, &ChunkRec::loop, uid);
 }
 
 std::span<const BookkeepRec> Trace::bookkeeps_span(LoopId uid) const {
   if (!finalized_) return {};
-  auto lo = std::lower_bound(
-      bookkeeps.begin(), bookkeeps.end(), uid,
-      [](const BookkeepRec& b, LoopId v) { return b.loop < v; });
-  auto hi = std::upper_bound(
-      lo, bookkeeps.end(), uid,
-      [](LoopId v, const BookkeepRec& b) { return v < b.loop; });
-  return {bookkeeps.data() + (lo - bookkeeps.begin()),
-          static_cast<size_t>(hi - lo)};
+  if (const auto l = find_owner(loops, &LoopRec::uid, uid))
+    return bookkeeps_at(*l);
+  return owned_by(bookkeeps, &BookkeepRec::loop, uid);
 }
 
 const JoinRec* find_join(std::span<const JoinRec> joins, u64 seq) {
@@ -130,64 +214,20 @@ const JoinRec* find_join(std::span<const JoinRec> joins, u64 seq) {
   return j->seq == seq ? j : nullptr;
 }
 
-std::optional<size_t> Trace::task_index(TaskId uid) const {
-  if (!finalized_) return std::nullopt;
-  auto it = std::lower_bound(
-      task_index_.begin(), task_index_.end(), uid,
-      [](const auto& p, TaskId v) { return p.first < v; });
-  if (it == task_index_.end() || it->first != uid) return std::nullopt;
-  return it->second;
-}
-
-std::optional<size_t> Trace::loop_index(LoopId uid) const {
-  if (!finalized_) return std::nullopt;
-  auto it = std::lower_bound(
-      loop_index_.begin(), loop_index_.end(), uid,
-      [](const auto& p, LoopId v) { return p.first < v; });
-  if (it == loop_index_.end() || it->first != uid) return std::nullopt;
-  return it->second;
-}
-
 std::vector<const FragmentRec*> Trace::fragments_of(TaskId uid) const {
-  if (!finalized_) return {};
-  std::vector<const FragmentRec*> out;
-  auto lo = std::lower_bound(
-      fragments.begin(), fragments.end(), uid,
-      [](const FragmentRec& f, TaskId v) { return f.task < v; });
-  for (auto it = lo; it != fragments.end() && it->task == uid; ++it)
-    out.push_back(&*it);
-  return out;
+  return pointers_to(fragments_span(uid));
 }
 
 std::vector<const JoinRec*> Trace::joins_of(TaskId uid) const {
-  if (!finalized_) return {};
-  std::vector<const JoinRec*> out;
-  auto lo = std::lower_bound(joins.begin(), joins.end(), uid,
-                             [](const JoinRec& j, TaskId v) { return j.task < v; });
-  for (auto it = lo; it != joins.end() && it->task == uid; ++it)
-    out.push_back(&*it);
-  return out;
+  return pointers_to(joins_span(uid));
 }
 
 std::vector<const ChunkRec*> Trace::chunks_of(LoopId uid) const {
-  if (!finalized_) return {};
-  std::vector<const ChunkRec*> out;
-  auto lo = std::lower_bound(chunks.begin(), chunks.end(), uid,
-                             [](const ChunkRec& c, LoopId v) { return c.loop < v; });
-  for (auto it = lo; it != chunks.end() && it->loop == uid; ++it)
-    out.push_back(&*it);
-  return out;
+  return pointers_to(chunks_span(uid));
 }
 
 std::vector<const BookkeepRec*> Trace::bookkeeps_of(LoopId uid) const {
-  if (!finalized_) return {};
-  std::vector<const BookkeepRec*> out;
-  auto lo = std::lower_bound(
-      bookkeeps.begin(), bookkeeps.end(), uid,
-      [](const BookkeepRec& b, LoopId v) { return b.loop < v; });
-  for (auto it = lo; it != bookkeeps.end() && it->loop == uid; ++it)
-    out.push_back(&*it);
-  return out;
+  return pointers_to(bookkeeps_span(uid));
 }
 
 std::vector<const TaskRec*> Trace::children_of(TaskId uid) const {

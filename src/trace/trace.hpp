@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/strings.hpp"
 #include "common/types.hpp"
 #include "trace/records.hpp"
@@ -77,27 +78,65 @@ class Trace {
   StringTable strings;
 
   /// Sorts all record vectors into canonical order (tasks by uid, fragments
-  /// by (task, seq), ...) and builds the task-uid index. Must be called
-  /// after recording and after deserialization, before lookups. Lookups on
-  /// a not-yet-finalized trace return empty/nullopt instead of aborting, so
-  /// partially-ingested traces are safe to probe.
+  /// by (task, seq), ...) and builds the per-owner record ranges. Must be
+  /// called after recording and after deserialization, before lookups.
+  /// Lookups on a not-yet-finalized trace return empty/nullopt instead of
+  /// aborting, so partially-ingested traces are safe to probe.
+  ///
+  /// The record vectors are public, and the ranges are a snapshot of them:
+  /// after any edit (push, erase, reorder — salvage does all three) call
+  /// finalize() again before the next lookup. The *_at accessors check
+  /// that a cached range still lies inside its vector, so a stale read
+  /// aborts instead of reading out of bounds.
   ///
   /// `threads` parallelizes the sorts (par_stable_sort). Every sort is
   /// stable, so the canonical order — including the relative order of
   /// duplicate-key records a damaged input may contain — is identical for
-  /// every thread count.
+  /// every thread count. Already-sorted vectors are left untouched.
   void finalize(int threads = 1);
 
-  /// Index of a task by uid after finalize(); nullopt if absent.
+  /// Index of a task by uid after finalize(); nullopt if absent. Duplicate
+  /// uids (damaged traces) resolve to the first occurrence. O(1) when uids
+  /// are dense (uid == position, as both runtimes assign them); otherwise a
+  /// galloping search from position `uid`, O(log distance).
   std::optional<size_t> task_index(TaskId uid) const;
 
-  /// Index of a loop by uid after finalize(); nullopt if absent.
+  /// Index of a loop by uid after finalize(); nullopt if absent. Same
+  /// search and duplicate rule as task_index().
   std::optional<size_t> loop_index(LoopId uid) const;
 
-  // Zero-copy range accessors. After finalize() each record vector is sorted
-  // with its owner's records contiguous, so one binary search yields a view;
-  // these are what the analysis hot paths use (the *_of pointer-vector
-  // accessors below allocate per call and remain for convenience).
+  // Owner-indexed record ranges, O(1). `task_idx` and `loop_idx` are
+  // positions in `tasks` / `loops` (e.g. from task_index()); calling these
+  // before finalize() aborts. Duplicate owners (damaged traces) each see
+  // the full run of their uid. These are what the analysis walks use:
+  // resolve a uid once, then walk owners by index.
+
+  /// Fragments of tasks[task_idx] in seq order.
+  std::span<const FragmentRec> fragments_at(size_t task_idx) const {
+    return range_at(fragments, frag_ranges_, task_idx);
+  }
+
+  /// Joins of tasks[task_idx] in seq order.
+  std::span<const JoinRec> joins_at(size_t task_idx) const {
+    return range_at(joins, join_ranges_, task_idx);
+  }
+
+  /// Chunks of loops[loop_idx] in (thread, seq_on_thread) order.
+  std::span<const ChunkRec> chunks_at(size_t loop_idx) const {
+    return range_at(chunks, chunk_ranges_, loop_idx);
+  }
+
+  /// Book-keeping records of loops[loop_idx] in (thread, seq_on_thread)
+  /// order.
+  std::span<const BookkeepRec> bookkeeps_at(size_t loop_idx) const {
+    return range_at(bookkeeps, bookkeep_ranges_, loop_idx);
+  }
+
+  // Zero-copy range accessors by uid: an index lookup plus the owner's
+  // range. A uid without an owner record (orphan records of a damaged
+  // trace) falls back to a binary search over the sorted records. The *_of
+  // pointer-vector accessors below allocate per call and remain for
+  // convenience.
 
   /// Fragments of one task in seq order; empty before finalize().
   std::span<const FragmentRec> fragments_span(TaskId uid) const;
@@ -142,9 +181,27 @@ class Trace {
   bool finalized() const { return finalized_; }
 
  private:
+  /// [lo, hi) positions of one owner's records in a record vector.
+  struct Range {
+    u32 lo = 0;
+    u32 hi = 0;
+  };
+
+  template <class Rec>
+  static std::span<const Rec> range_at(const std::vector<Rec>& recs,
+                                       const std::vector<Range>& ranges,
+                                       size_t owner) {
+    GG_CHECK_MSG(owner < ranges.size() && ranges[owner].hi <= recs.size(),
+                 "stale owner range: finalize() the trace after editing it");
+    const Range r = ranges[owner];
+    return {recs.data() + r.lo, static_cast<size_t>(r.hi - r.lo)};
+  }
+
   bool finalized_ = false;
-  std::vector<std::pair<TaskId, size_t>> task_index_;  // sorted by uid
-  std::vector<std::pair<LoopId, size_t>> loop_index_;  // sorted by uid
+  std::vector<Range> frag_ranges_;      // per task position
+  std::vector<Range> join_ranges_;      // per task position
+  std::vector<Range> chunk_ranges_;     // per loop position
+  std::vector<Range> bookkeep_ranges_;  // per loop position
   std::vector<size_t> children_index_;  // task indices, sorted by
                                         // (parent, child_index)
 };

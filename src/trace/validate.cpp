@@ -102,13 +102,14 @@ ValidationReport validate_trace_structured(const Trace& trace) {
   }
 
   // Fragments per task.
-  for (const TaskRec& t : trace.tasks) {
-    const auto frags = trace.fragments_span(t.uid);
+  for (size_t ti = 0; ti < trace.tasks.size(); ++ti) {
+    const TaskRec& t = trace.tasks[ti];
+    const auto frags = trace.fragments_at(ti);
     if (frags.empty()) {
       report(S::Task, t.uid, "task ", t.uid, " has no fragments");
       continue;
     }
-    const auto joins = trace.joins_span(t.uid);
+    const auto joins = trace.joins_at(ti);
     for (size_t i = 0; i < frags.size(); ++i) {
       const FragmentRec& f = frags[i];
       if (f.seq != i) {
@@ -153,13 +154,14 @@ ValidationReport validate_trace_structured(const Trace& trace) {
   }
 
   // Loops, chunks, bookkeeping.
-  for (const LoopRec& loop : trace.loops) {
+  for (size_t li = 0; li < trace.loops.size(); ++li) {
+    const LoopRec& loop = trace.loops[li];
     if (loop.iter_end < loop.iter_begin)
       report(S::Loop, loop.uid, "loop ", loop.uid, " has inverted range");
     if (!trace.task_index(loop.enclosing_task))
       report(S::Loop, loop.uid, "loop ", loop.uid, " references missing task ",
              loop.enclosing_task);
-    const auto chunks = trace.chunks_span(loop.uid);
+    const auto chunks = trace.chunks_at(li);
     std::vector<std::pair<u64, u64>> ranges;
     ranges.reserve(chunks.size());
     for (const ChunkRec& c : chunks) {
@@ -187,7 +189,7 @@ ValidationReport validate_trace_structured(const Trace& trace) {
     if (!covered && loop.iter_end > loop.iter_begin)
       report(S::Loop, loop.uid, "loop ", loop.uid,
              " chunks do not partition the iteration range");
-    for (const BookkeepRec& b : trace.bookkeeps_span(loop.uid)) {
+    for (const BookkeepRec& b : trace.bookkeeps_at(li)) {
       if (b.thread >= loop.num_threads)
         report(S::Bookkeep, loop.uid, "loop ", loop.uid, " bookkeep on thread ",
                b.thread, " >= team size ", loop.num_threads);

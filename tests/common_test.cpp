@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/par_for.hpp"
+#include "common/par_sort.hpp"
 #include "common/prng.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
@@ -178,6 +181,54 @@ TEST(TableTest, MixedRowFormatsDoubles) {
   t.set_header({"a", "b"});
   t.add_row_mixed({1.0, 2.25});
   EXPECT_NE(t.to_text().find("2.25"), std::string::npos);
+}
+
+// par_stable_sort must be exactly std::stable_sort — records with equal keys
+// keep their input order — for every thread count, on inputs large enough
+// to take the parallel block-sort-and-merge path.
+struct KeyedItem {
+  u32 key;
+  u32 id;  // input position: shows whether equal keys kept their order
+  bool operator==(const KeyedItem&) const = default;
+};
+
+std::vector<KeyedItem> keyed(const std::vector<u32>& keys) {
+  std::vector<KeyedItem> v;
+  for (u32 i = 0; i < keys.size(); ++i) v.push_back({keys[i], i});
+  return v;
+}
+
+TEST(ParStableSortTest, EqualsStdStableSortForEveryThreadCount) {
+  const u32 n = static_cast<u32>(5 * kParForMinItems + 123);
+  std::vector<u32> sorted, reversed, equal, random_dups, sorted_dups;
+  Xoshiro256 rng(17);
+  for (u32 i = 0; i < n; ++i) {
+    sorted.push_back(i);
+    reversed.push_back(n - i);
+    equal.push_back(7);
+    random_dups.push_back(static_cast<u32>(rng.bounded(64)));
+    sorted_dups.push_back(i / 10);
+  }
+  const std::vector<std::pair<const char*, std::vector<u32>>> inputs = {
+      {"sorted", sorted},
+      {"reversed", reversed},
+      {"all-equal", equal},
+      {"random-with-duplicate-keys", random_dups},
+      {"sorted-with-duplicate-keys", sorted_dups},
+      {"small-random", std::vector<u32>(random_dups.begin(),
+                                        random_dups.begin() + 100)}};
+  const auto by_key = [](const KeyedItem& a, const KeyedItem& b) {
+    return a.key < b.key;
+  };
+  for (const auto& [name, keys] : inputs) {
+    std::vector<KeyedItem> want = keyed(keys);
+    std::stable_sort(want.begin(), want.end(), by_key);
+    for (int threads : {1, 2, 4, 8}) {
+      std::vector<KeyedItem> got = keyed(keys);
+      par_stable_sort(got, threads, by_key);
+      EXPECT_TRUE(got == want) << name << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -4,9 +4,11 @@
 #include "graph/grain_table.hpp"
 #include "graph/reductions.hpp"
 #include "graph/summarize.hpp"
+#include "metrics/metrics.hpp"
 #include "rts/threaded_engine.hpp"
 #include "sim/capture.hpp"
 #include "sim/des.hpp"
+#include "trace/synth.hpp"
 #include "trace/validate.hpp"
 
 namespace gg {
@@ -168,6 +170,33 @@ TEST(GrainGraphTest, GraphFromThreadedRuntime) {
   const GrainGraph g = GrainGraph::build(t);
   EXPECT_TRUE(validate_graph(g).empty());
   EXPECT_GT(g.node_count(), t.tasks.size());
+}
+
+// A damaged spool can deliver a task record twice. Both records see the
+// task's one run of fragments, so fragment nodes are not duplicated; each
+// record is wired, so the root's fork and join nodes appear twice.
+TEST(GrainGraphTest, DuplicateTaskRecordsShareFragmentNodes) {
+  const Trace clean = foo_bar_baz_trace();
+  Trace dup = clean;
+  const TaskRec root = dup.tasks[*dup.task_index(kRootTask)];
+  const TaskRec leaf = dup.tasks.back();
+  ASSERT_NE(leaf.uid, kRootTask);
+  dup.tasks.push_back(root);
+  dup.tasks.push_back(leaf);
+  dup.finalize();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const GrainGraph g0 = GrainGraph::build(clean, threads);
+    const GrainGraph g1 = GrainGraph::build(dup, threads);
+    EXPECT_EQ(count_kind(g1, NodeKind::Fragment),
+              count_kind(g0, NodeKind::Fragment));
+    EXPECT_EQ(count_kind(g1, NodeKind::Fork),
+              2 * count_kind(g0, NodeKind::Fork));
+    EXPECT_EQ(count_kind(g1, NodeKind::Join),
+              2 * count_kind(g0, NodeKind::Join));
+    EXPECT_EQ(count_edges(g1, EdgeKind::Creation),
+              2 * count_edges(g0, EdgeKind::Creation));
+  }
 }
 
 TEST(GrainGraphTest, TopoOrderRespectsEdges) {
@@ -428,6 +457,110 @@ TEST(SummarizeTest, DeeperBudgetKeepsMoreStructure) {
   const SummarizeResult loose = summarize_graph(g, 400);
   EXPECT_LT(tight.cut_depth, loose.cut_depth);
   EXPECT_LT(tight.graph.node_count(), loose.graph.node_count());
+}
+
+// Relabels every task uid but the root's, and every loop uid, through a
+// strictly increasing sparse map (uid * 1000 + 7): canonical record order
+// is unchanged, so everything the analysis derives must be too — but no
+// uid sits at its position any more, so every task_index/loop_index takes
+// the galloping search's non-dense path.
+Trace relabel_sparse(Trace t) {
+  const auto task = [](TaskId u) {
+    return u == kRootTask || u == kNoTask ? u : u * 1000 + 7;
+  };
+  const auto loop = [](LoopId u) { return u * 1000 + 7; };
+  for (TaskRec& r : t.tasks) {
+    r.uid = task(r.uid);
+    r.parent = task(r.parent);
+  }
+  for (FragmentRec& f : t.fragments) {
+    f.task = task(f.task);
+    if (f.end_reason == FragmentEnd::Fork) f.end_ref = task(f.end_ref);
+    if (f.end_reason == FragmentEnd::Loop) f.end_ref = loop(f.end_ref);
+  }
+  for (JoinRec& j : t.joins) j.task = task(j.task);
+  for (LoopRec& l : t.loops) {
+    l.uid = loop(l.uid);
+    l.enclosing_task = task(l.enclosing_task);
+  }
+  for (ChunkRec& c : t.chunks) c.loop = loop(c.loop);
+  for (BookkeepRec& b : t.bookkeeps) b.loop = loop(b.loop);
+  for (DependRec& d : t.depends) {
+    d.pred = task(d.pred);
+    d.succ = task(d.succ);
+  }
+  t.finalize();  // uids were edited: ranges must be rebuilt
+  return t;
+}
+
+TEST(GrainGraphTest, SparseUidsAnalyzeLikeDenseUids) {
+  SynthOptions so;
+  so.seed = 29;
+  so.grains = 20000;
+  const Trace dense = synth_trace(so);
+  const Trace sparse = relabel_sparse(dense);
+  ASSERT_TRUE(validate_trace(sparse).empty());
+  ASSERT_FALSE(sparse.depends.empty());
+  ASSERT_EQ(sparse.task_index(7 * 1000 + 7), std::optional<size_t>(7));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const GrainGraph gd = GrainGraph::build(dense, threads);
+    const GrainGraph gs = GrainGraph::build(sparse, threads);
+    ASSERT_EQ(gs.nodes().size(), gd.nodes().size());
+    ASSERT_EQ(gs.edges().size(), gd.edges().size());
+    EXPECT_EQ(gs.topo_order(), gd.topo_order());
+    for (size_t e = 0; e < gd.edges().size(); ++e) {
+      ASSERT_EQ(gs.edges()[e].from, gd.edges()[e].from) << e;
+      ASSERT_EQ(gs.edges()[e].to, gd.edges()[e].to) << e;
+      ASSERT_EQ(gs.edges()[e].kind, gd.edges()[e].kind) << e;
+    }
+    for (NodeKind k : {NodeKind::Fragment, NodeKind::Fork, NodeKind::Join,
+                       NodeKind::Bookkeep, NodeKind::Chunk}) {
+      EXPECT_EQ(count_kind(gs, k), count_kind(gd, k)) << to_string(k);
+    }
+
+    const GrainTable td = GrainTable::build(dense, threads);
+    const GrainTable ts = GrainTable::build(sparse, threads);
+    ASSERT_EQ(ts.size(), td.size());
+    for (size_t i = 0; i < td.size(); ++i) {
+      const Grain& a = td.grains()[i];
+      const Grain& b = ts.grains()[i];
+      ASSERT_EQ(b.path, a.path) << i;
+      EXPECT_EQ(b.kind, a.kind) << i;
+      EXPECT_EQ(b.exec_time, a.exec_time) << i;
+      EXPECT_EQ(b.sync_cost, a.sync_cost) << i;
+      EXPECT_EQ(b.creation_cost, a.creation_cost) << i;
+      EXPECT_EQ(b.first_start, a.first_start) << i;
+      EXPECT_EQ(b.last_end, a.last_end) << i;
+      EXPECT_EQ(b.n_fragments, a.n_fragments) << i;
+      EXPECT_EQ(b.n_children, a.n_children) << i;
+    }
+
+    MetricOptions mo;
+    mo.threads = threads;
+    const MetricsResult md =
+        compute_metrics(dense, gd, td, Topology::opteron48(), mo);
+    const MetricsResult ms =
+        compute_metrics(sparse, gs, ts, Topology::opteron48(), mo);
+    EXPECT_EQ(ms.critical_path_time, md.critical_path_time);
+    EXPECT_EQ(ms.total_work, md.total_work);
+    EXPECT_EQ(ms.interval_used, md.interval_used);
+    EXPECT_EQ(ms.parallelism_optimistic, md.parallelism_optimistic);
+    EXPECT_EQ(ms.parallelism_conservative, md.parallelism_conservative);
+    EXPECT_EQ(ms.region_load_balance, md.region_load_balance);
+    ASSERT_EQ(ms.loop_load_balance.size(), md.loop_load_balance.size());
+    ASSERT_EQ(ms.per_grain.size(), md.per_grain.size());
+    for (size_t i = 0; i < md.per_grain.size(); ++i) {
+      const GrainMetrics& a = md.per_grain[i];
+      const GrainMetrics& b = ms.per_grain[i];
+      EXPECT_EQ(b.parallel_benefit, a.parallel_benefit) << i;
+      EXPECT_EQ(b.inst_parallelism, a.inst_parallelism) << i;
+      EXPECT_EQ(b.inst_parallelism_optimistic, a.inst_parallelism_optimistic)
+          << i;
+      EXPECT_EQ(b.scatter, a.scatter) << i;
+      EXPECT_EQ(b.on_critical_path, a.on_critical_path) << i;
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/prng.hpp"
 #include "trace/recorder.hpp"
+#include "trace/salvage.hpp"
 #include "trace/serialize.hpp"
+#include "trace/synth.hpp"
 #include "trace/trace.hpp"
 #include "trace/validate.hpp"
 
@@ -427,6 +435,315 @@ TEST(TraceRecorderTest, ParallelWritersMerge) {
   // Sorted by uid after finalize.
   for (size_t i = 1; i < t.tasks.size(); ++i)
     EXPECT_LT(t.tasks[i - 1].uid, t.tasks[i].uid);
+}
+
+// --- owner lookups ----------------------------------------------------------
+//
+// task_index/loop_index must equal std::lower_bound over the uid-sorted
+// owners (first of duplicates), and every *_at / *_span must equal the
+// lower/upper-bound run of the owner's uid in the sorted record vector —
+// the definitions the galloping search and the per-owner ranges replace.
+
+template <class Owner>
+std::optional<size_t> reference_index(const std::vector<Owner>& owners,
+                                      u64 uid) {
+  const auto it = std::lower_bound(
+      owners.begin(), owners.end(), uid,
+      [](const Owner& o, u64 v) { return o.uid < v; });
+  if (it == owners.end() || it->uid != uid) return std::nullopt;
+  return static_cast<size_t>(it - owners.begin());
+}
+
+template <class Rec>
+std::span<const Rec> reference_span(const std::vector<Rec>& recs,
+                                    u64 Rec::*owner, u64 uid) {
+  const auto lo = std::lower_bound(
+      recs.begin(), recs.end(), uid,
+      [&](const Rec& r, u64 v) { return r.*owner < v; });
+  const auto hi = std::upper_bound(
+      lo, recs.end(), uid, [&](u64 v, const Rec& r) { return v < r.*owner; });
+  return {recs.data() + (lo - recs.begin()), static_cast<size_t>(hi - lo)};
+}
+
+template <class Rec>
+void expect_same_span(std::span<const Rec> got, std::span<const Rec> want,
+                      const std::string& what) {
+  EXPECT_EQ(got.size(), want.size()) << what;
+  if (!want.empty()) {
+    EXPECT_EQ(got.data(), want.data()) << what;
+  }
+}
+
+/// Checks every lookup of a finalized trace against the references: each
+/// owner index, and each uid that names an owner or a record (orphans
+/// included), its neighbours, and uids past both ends.
+void expect_lookups_match_reference(const Trace& t) {
+  ASSERT_TRUE(t.finalized());
+  std::vector<u64> task_uids = {0, 1, kNoTask, kNoTask - 1};
+  std::vector<u64> loop_uids = {0, 1, ~u64{0}};
+  auto around = [](std::vector<u64>& out, u64 uid) {
+    out.push_back(uid);
+    out.push_back(uid + 1);
+    if (uid > 0) out.push_back(uid - 1);
+  };
+  for (const TaskRec& r : t.tasks) around(task_uids, r.uid);
+  for (const FragmentRec& r : t.fragments) around(task_uids, r.task);
+  for (const JoinRec& r : t.joins) around(task_uids, r.task);
+  for (const LoopRec& r : t.loops) around(loop_uids, r.uid);
+  for (const ChunkRec& r : t.chunks) around(loop_uids, r.loop);
+  for (const BookkeepRec& r : t.bookkeeps) around(loop_uids, r.loop);
+
+  for (u64 uid : task_uids) {
+    const std::string what = "task uid " + std::to_string(uid);
+    EXPECT_EQ(t.task_index(uid), reference_index(t.tasks, uid)) << what;
+    expect_same_span(t.fragments_span(uid),
+                     reference_span(t.fragments, &FragmentRec::task, uid),
+                     what);
+    expect_same_span(t.joins_span(uid),
+                     reference_span(t.joins, &JoinRec::task, uid), what);
+    EXPECT_EQ(t.fragments_of(uid).size(), t.fragments_span(uid).size())
+        << what;
+  }
+  for (u64 uid : loop_uids) {
+    const std::string what = "loop uid " + std::to_string(uid);
+    EXPECT_EQ(t.loop_index(uid), reference_index(t.loops, uid)) << what;
+    expect_same_span(t.chunks_span(uid),
+                     reference_span(t.chunks, &ChunkRec::loop, uid), what);
+    expect_same_span(t.bookkeeps_span(uid),
+                     reference_span(t.bookkeeps, &BookkeepRec::loop, uid),
+                     what);
+  }
+  for (size_t i = 0; i < t.tasks.size(); ++i) {
+    const u64 uid = t.tasks[i].uid;
+    const std::string what = "task index " + std::to_string(i);
+    expect_same_span(t.fragments_at(i),
+                     reference_span(t.fragments, &FragmentRec::task, uid),
+                     what);
+    expect_same_span(t.joins_at(i),
+                     reference_span(t.joins, &JoinRec::task, uid), what);
+  }
+  for (size_t l = 0; l < t.loops.size(); ++l) {
+    const u64 uid = t.loops[l].uid;
+    const std::string what = "loop index " + std::to_string(l);
+    expect_same_span(t.chunks_at(l),
+                     reference_span(t.chunks, &ChunkRec::loop, uid), what);
+    expect_same_span(t.bookkeeps_at(l),
+                     reference_span(t.bookkeeps, &BookkeepRec::loop, uid),
+                     what);
+  }
+}
+
+/// A finalized trace of bare owner and record keys (no structure): one task
+/// and one loop record per listed uid, listed duplicates included, 0-3
+/// fragments/joins per distinct task uid and 0-3 chunks/bookkeeps per
+/// distinct loop uid, plus records of `orphans` uids that have no owner.
+/// Records are pushed in shuffled order so finalize() really sorts.
+Trace lookup_trace(const std::vector<u64>& task_uids,
+                   const std::vector<u64>& loop_uids,
+                   const std::vector<u64>& orphans, u64 seed) {
+  Xoshiro256 rng(seed);
+  Trace t;
+  auto distinct = [](std::vector<u64> v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+  };
+  for (u64 uid : task_uids) {
+    TaskRec r;
+    r.uid = uid;
+    t.tasks.push_back(r);
+  }
+  for (u64 uid : loop_uids) {
+    LoopRec r;
+    r.uid = uid;
+    t.loops.push_back(r);
+  }
+  std::vector<u64> task_keys = distinct(task_uids);
+  std::vector<u64> loop_keys = distinct(loop_uids);
+  task_keys.insert(task_keys.end(), orphans.begin(), orphans.end());
+  loop_keys.insert(loop_keys.end(), orphans.begin(), orphans.end());
+  for (u64 uid : task_keys) {
+    for (u32 s = 0, n = static_cast<u32>(rng.bounded(4)); s < n; ++s) {
+      FragmentRec f;
+      f.task = uid;
+      f.seq = s;
+      t.fragments.push_back(f);
+    }
+    for (u32 s = 0, n = static_cast<u32>(rng.bounded(4)); s < n; ++s) {
+      JoinRec j;
+      j.task = uid;
+      j.seq = s;
+      t.joins.push_back(j);
+    }
+  }
+  for (u64 uid : loop_keys) {
+    for (u32 s = 0, n = static_cast<u32>(rng.bounded(4)); s < n; ++s) {
+      ChunkRec c;
+      c.loop = uid;
+      c.thread = static_cast<u16>(s % 2);
+      c.seq_on_thread = s;
+      t.chunks.push_back(c);
+      BookkeepRec b;
+      b.loop = uid;
+      b.thread = c.thread;
+      b.seq_on_thread = s;
+      t.bookkeeps.push_back(b);
+    }
+  }
+  auto shuffle = [&](auto& v) {
+    for (size_t i = v.size(); i > 1; --i) std::swap(v[i - 1], v[rng.bounded(i)]);
+  };
+  shuffle(t.tasks);
+  shuffle(t.loops);
+  shuffle(t.fragments);
+  shuffle(t.joins);
+  shuffle(t.chunks);
+  shuffle(t.bookkeeps);
+  t.finalize();
+  return t;
+}
+
+struct UidSet {
+  const char* name;
+  std::vector<u64> uids;
+};
+
+std::vector<UidSet> uid_sets() {
+  std::vector<UidSet> sets;
+  std::vector<u64> dense, sparse, gapped, dups, gapped_dups;
+  for (u64 u = 0; u < 600; ++u) {
+    dense.push_back(u);
+    sparse.push_back(u * 1000 + 7);
+    if (u % 3 != 0 && (u < 200 || u > 450)) gapped.push_back(u);
+    dups.push_back(u);
+    if (u % 5 == 0) dups.push_back(u);
+    if (u % 50 == 0) dups.push_back(u);
+    // Gaps put a uid's run before position `uid`, so the first probe can
+    // land inside a run of duplicates rather than on its first record.
+    if (u % 3 != 0) {
+      for (u64 k = 0; k < 1 + u % 4; ++k) gapped_dups.push_back(u);
+    }
+  }
+  sets.push_back({"dense", dense});
+  sets.push_back({"sparse", sparse});
+  sets.push_back({"gapped", gapped});
+  sets.push_back({"duplicates", dups});
+  sets.push_back({"gapped-duplicates", gapped_dups});
+  sets.push_back({"empty", {}});
+  sets.push_back({"single", {5}});
+  return sets;
+}
+
+TEST(TraceLookupTest, IndexEqualsLowerBoundOnEveryUidSet) {
+  for (const UidSet& set : uid_sets()) {
+    SCOPED_TRACE(set.name);
+    const Trace t = lookup_trace(set.uids, set.uids, {}, 11);
+    std::vector<u64> probes = {kNoTask, kNoTask - 1};
+    for (u64 uid = 0; uid < 2000; ++uid) probes.push_back(uid);
+    for (u64 uid : set.uids) {
+      probes.push_back(uid);
+      probes.push_back(uid + 1);
+      probes.push_back(uid - 1);
+    }
+    for (u64 uid : probes) {
+      ASSERT_EQ(t.task_index(uid), reference_index(t.tasks, uid)) << uid;
+      ASSERT_EQ(t.loop_index(uid), reference_index(t.loops, uid)) << uid;
+    }
+  }
+}
+
+TEST(TraceLookupTest, RangesEqualBinarySearchWithDuplicatesAndOrphans) {
+  // Orphans sit below, between and above the owner uids.
+  const std::vector<u64> orphans = {3, 601, 1'500, 450'007, 900'000};
+  for (const UidSet& set : uid_sets()) {
+    SCOPED_TRACE(set.name);
+    std::vector<u64> free_orphans;
+    for (u64 o : orphans) {
+      if (std::find(set.uids.begin(), set.uids.end(), o) == set.uids.end())
+        free_orphans.push_back(o);
+    }
+    expect_lookups_match_reference(
+        lookup_trace(set.uids, set.uids, free_orphans, 12));
+  }
+  expect_lookups_match_reference(make_sample_trace());
+}
+
+TEST(TraceLookupTest, DuplicateOwnersShareTheirUidsRun) {
+  const Trace t = lookup_trace({4, 4, 4, 9}, {2, 2}, {}, 13);
+  ASSERT_EQ(t.tasks.size(), 4u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(t.fragments_at(i).data(), t.fragments_at(0).data());
+    EXPECT_EQ(t.fragments_at(i).size(), t.fragments_at(0).size());
+  }
+  EXPECT_EQ(t.task_index(4), std::optional<size_t>(0));
+  EXPECT_EQ(t.loop_index(2), std::optional<size_t>(0));
+  EXPECT_EQ(t.chunks_at(1).size(), t.chunks_at(0).size());
+}
+
+TEST(TraceLookupTest, RefinalizeAfterEditsRebuildsEveryRange) {
+  std::vector<u64> uids;
+  for (u64 u = 0; u < 300; ++u) uids.push_back(u);
+  Trace t = lookup_trace(uids, uids, {1000}, 14);
+  expect_lookups_match_reference(t);
+  // Erase owners (leaving their records orphaned), records, and a loop;
+  // append records and an owner out of order.
+  std::erase_if(t.tasks, [](const TaskRec& r) { return r.uid % 7 == 3; });
+  std::erase_if(t.fragments,
+                [](const FragmentRec& f) { return f.task % 5 == 1; });
+  std::erase_if(t.joins, [](const JoinRec& j) { return j.task % 4 == 2; });
+  std::erase_if(t.loops, [](const LoopRec& l) { return l.uid % 3 == 0; });
+  std::erase_if(t.chunks, [](const ChunkRec& c) { return c.loop % 6 == 5; });
+  std::erase_if(t.bookkeeps,
+                [](const BookkeepRec& b) { return b.thread == 1; });
+  TaskRec late;
+  late.uid = 150'000;
+  t.tasks.insert(t.tasks.begin(), late);
+  FragmentRec f;
+  f.task = 150'000;
+  t.fragments.insert(t.fragments.begin(), f);
+  t.finalize();
+  expect_lookups_match_reference(t);
+  EXPECT_EQ(t.fragments_at(t.tasks.size() - 1).size(), 1u);
+}
+
+TEST(TraceLookupDeathTest, StaleRangeAbortsInsteadOfReadingOutOfBounds) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Trace t = make_sample_trace();
+  const size_t root = *t.task_index(kRootTask);
+  t.fragments.clear();  // edited without finalize()
+  EXPECT_DEATH((void)t.fragments_at(root), "stale owner range");
+  t.loops.push_back(LoopRec{});
+  EXPECT_DEATH((void)t.chunks_at(t.loops.size() - 1), "stale owner range");
+}
+
+TEST(TraceLookupTest, SalvagedTraceLookupsMatchReference) {
+  // Damage a structurally valid trace the way a bad spool does: duplicate
+  // deliveries, a task whose parent is missing, orphan records, and a
+  // chunk of a loop that was never recorded.
+  SynthOptions so;
+  so.seed = 3;
+  so.grains = 400;
+  Trace t = synth_trace(so);
+  const std::vector<TaskRec> tasks = t.tasks;
+  t.tasks.push_back(tasks[5]);
+  t.fragments.push_back(t.fragments[10]);
+  t.joins.push_back(t.joins.front());
+  t.chunks.push_back(t.chunks.front());
+  TaskRec lost = tasks[7];
+  lost.uid = 90'000;
+  lost.parent = 80'000;  // never recorded
+  t.tasks.push_back(lost);
+  FragmentRec orphan;
+  orphan.task = 70'000;
+  orphan.end_reason = FragmentEnd::TaskEnd;
+  t.fragments.push_back(orphan);
+  ChunkRec stray = t.chunks.front();
+  stray.loop = 60'000;
+  t.chunks.push_back(stray);
+  const SalvageReport rep = salvage_trace(t);
+  EXPECT_TRUE(rep.any());
+  EXPECT_TRUE(validate_trace(t).empty());
+  expect_lookups_match_reference(t);
 }
 
 }  // namespace
